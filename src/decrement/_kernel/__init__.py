@@ -8,6 +8,8 @@ was not built).
 
 import os
 
+from decrement._kernel import _pykernel
+
 _forced = os.environ.get("DECREMENT_KERNEL")
 
 if _forced == "python":
@@ -35,3 +37,6 @@ compress_keys = _impl.compress_keys
 frontal_bits = _impl.frontal_bits
 step_ranks = _impl.step_ranks
 dr_satisfied = _impl.dr_satisfied
+# The pairwise DR conditions are written once, in Python; the compiled
+# dr_satisfied mirrors them and the parity tests hold the two together.
+dr_violation = _pykernel.dr_violation

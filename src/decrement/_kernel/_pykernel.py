@@ -5,7 +5,7 @@ enforces this.  Rank vectors are tuples indexed by world, world sets are
 integer bitmasks, operator kinds are the codes 0 (type-1 decrement),
 1 (type-2 decrement), 2 (instant contraction).
 
-DR constraint bits for dr_satisfied:
+DR constraint bits for dr_violation and dr_satisfied:
   1 DR8, 2 DR9, 4 DR10, 8 DR11, 16 DR12, 32 DR13, 64 DR14, 128 DR15
 """
 
@@ -130,12 +130,13 @@ def step_ranks(ranks, amask: int, kind: int) -> tuple:
     return compress_keys(keys)
 
 
-def dr_satisfied(before, after, amask: int, cmask: int) -> bool:
-    """Check the selected DR constraints between two rank vectors.
+def dr_violation(before, after, amask: int, cmask: int):
+    """First world pair that breaks a selected DR constraint, or None.
 
     The constraints are evaluated literally against the earlier order and
     the candidate successor, with no restriction on whether alpha was
-    believed.
+    believed.  Pairs are scanned with w1 as the outer loop, so the pair
+    returned is the smallest (w1, w2) in that order.
     """
     n = len(before)
     full = (1 << n) - 1
@@ -151,21 +152,26 @@ def dr_satisfied(before, after, amask: int, cmask: int) -> bool:
             f2 = after[w2]
             if a1 and a2:
                 if cmask & 1 and (b1 <= b2) != (f1 <= f2):
-                    return False
+                    return w1, w2
             elif not a1 and not a2:
                 if cmask & 2 and (b1 <= b2) != (f1 <= f2):
-                    return False
+                    return w1, w2
             elif not a1 and a2:
                 if cmask & 4 and b1 <= b2 and not f1 <= f2:
-                    return False
+                    return w1, w2
                 if cmask & 8 and b1 < b2 and not f1 < f2:
-                    return False
+                    return w1, w2
                 if cmask & 16 and b1 == b2 + 1 and not f1 <= f2:
-                    return False
+                    return w1, w2
                 if cmask & 32 and b2 == 0 and not f2 <= f1:
-                    return False
+                    return w1, w2
                 if cmask & 64 and b1 == b2 and f2 != f1 + 1:
-                    return False
+                    return w1, w2
                 if cmask & 128 and b1 == b2 and (frontal >> w1) & 1 and f1 != f2:
-                    return False
-    return True
+                    return w1, w2
+    return None
+
+
+def dr_satisfied(before, after, amask: int, cmask: int) -> bool:
+    """True iff no world pair breaks a selected DR constraint."""
+    return dr_violation(before, after, amask, cmask) is None

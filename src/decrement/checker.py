@@ -6,6 +6,11 @@ over all semantic classes (world sets), worlds over the universe.  The
 sampled mode draws cases from the same spaces with a seeded generator, so
 identical inputs always produce identical reports.
 
+A postulate is defined by its ``Postulate`` record in ``REGISTRY``: the
+evaluator, the variables it quantifies with the mask each must contain,
+the exhaustive atom cap and the domain note of its reports.  Exhaustive
+enumeration, sampling, the domain checks and replay all read that record.
+
 Failures are reported with replayable counterexamples, smallest first
 (fewest layers, then lexicographic layer encoding).  Case spaces can be
 partitioned across worker processes; partitioning never changes output.
@@ -31,9 +36,9 @@ import heapq
 import json
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from decrement import _kernel
 from decrement.logic import (
@@ -41,6 +46,7 @@ from decrement.logic import (
     Not,
     Signature,
     formula_from_worldset,
+    iter_worlds,
     models,
     world_to_bits,
     worldset_from_bits,
@@ -51,19 +57,17 @@ from decrement.operators import (
     OperatorKind,
     _bel_mask,
     _min_rank_mask,
-    achieve,
     achieve_bel,
     achieve_ranks,
     giveup_leq_masks,
     giveup_ll_masks,
     giveup_lt_masks,
     induced_ranks,
-    step,
     step_ranks,
     NotPreorderError,
 )
-from decrement.preorder import TotalPreorder, UniverseTooLargeError
-from decrement.state import EpistemicState, belief_models
+from decrement.preorder import TotalPreorder, UniverseTooLargeError, from_layers, to_layers
+from decrement.state import EpistemicState, StateFormatError
 
 COUNTEREXAMPLE_CAP = 5
 
@@ -120,50 +124,9 @@ class PostulateId(enum.Enum):
 
 ALL_POSTULATES: tuple[PostulateId, ...] = tuple(PostulateId)
 
-# Postulates quantifying over more than one formula class (or over the
-# give-up direct-successor relation, which itself quantifies a class).
-MULTI_FORMULA = frozenset(
-    {
-        PostulateId.C5,
-        PostulateId.C6,
-        PostulateId.C7,
-        PostulateId.D5,
-        PostulateId.D6,
-        PostulateId.D7,
-        PostulateId.D8,
-        PostulateId.D9,
-        PostulateId.D10,
-        PostulateId.D11,
-        PostulateId.D12,
-        PostulateId.SFA3,
-        PostulateId.LEMMA3,
-    }
-)
 
-# Single-step successor conditions, checked on steps that believe alpha.
-DR_POSTULATES = frozenset(
-    {
-        PostulateId.DR8,
-        PostulateId.DR9,
-        PostulateId.DR10,
-        PostulateId.DR11,
-        PostulateId.DR12,
-        PostulateId.DR13,
-        PostulateId.DR14,
-        PostulateId.DR15,
-    }
-)
-
-_DR_BITS = {
-    PostulateId.DR8: 1,
-    PostulateId.DR9: 2,
-    PostulateId.DR10: 4,
-    PostulateId.DR11: 8,
-    PostulateId.DR12: 16,
-    PostulateId.DR13: 32,
-    PostulateId.DR14: 64,
-    PostulateId.DR15: 128,
-}
+# DRk selects bit k - 8 of the kernel's pairwise condition table.
+_DR_BITS = {PostulateId(f"DR{k}"): 1 << (k - 8) for k in range(8, 16)}
 
 # Total preorder counts per universe size, used only to partition work.
 _WEAK_ORDER_COUNTS = (1, 1, 3, 13, 75, 541, 4683, 47293, 545835)
@@ -250,457 +213,342 @@ class ConformanceMatrix:
         return json.dumps(self.to_doc(), indent=2, ensure_ascii=False) + "\n"
 
 
-# --- case evaluation ---------------------------------------------------------
+# --- evaluators --------------------------------------------------------------
 #
-# A case is (ranks, formulas, worlds) with formulas and worlds as small
-# dicts of masks/world indices.  Evaluators return (ok, witness) where the
-# witness names worlds that exhibit the violation.  Replay re-runs the same
-# evaluator on the reported case.
+# An evaluator takes (ranks, kind code, *values), with the values in the
+# order of its record's variables, and returns (ok, witness).  It reads
+# only rank vectors and masks.  The witness names the worlds of a
+# violation and is built only when a case fails.
 
 _CANON_ATOMS = "abcdefghijklmnopqrstuvwxyz"
-
-
-@lru_cache(maxsize=8)
-def _canon_sig(n_atoms: int) -> Signature:
-    return Signature(_CANON_ATOMS[:n_atoms])
-
-
-def _layers_of(ranks: tuple) -> list[int]:
-    out = [0] * (max(ranks) + 1)
-    for w, r in enumerate(ranks):
-        out[r] |= 1 << w
-    return out
 
 
 def _subset(x: int, y: int) -> bool:
     return x & ~y == 0
 
 
-def _reps(mask: int, sig: Signature) -> tuple[Formula, Formula]:
-    """Two syntactically different representatives of a semantic class."""
+@lru_cache(maxsize=1 << 10)
+def _rep_models(mask: int, n_worlds: int) -> tuple[int, int]:
+    """Models of two syntactically different representatives of a class."""
+    sig = Signature(_CANON_ATOMS[: n_worlds.bit_length() - 1])
     f = formula_from_worldset(mask, sig)
-    return f, Not(Not(f))
+    return models(f, sig), models(Not(Not(f)), sig)
 
 
-def _state_of(ranks: tuple, sig: Signature) -> EpistemicState:
-    return EpistemicState(sig, TotalPreorder(ranks))
+def _pair_result(pair: tuple[int, int] | None) -> tuple[bool, dict[str, int]]:
+    if pair is None:
+        return True, {}
+    return False, {"omega1": pair[0], "omega2": pair[1]}
 
 
-def _evaluate(
-    kind: OperatorKind,
-    pid: PostulateId,
-    ranks: tuple,
-    formulas: dict[str, int],
-    worlds: dict[str, int],
-    n_atoms: int,
-) -> tuple[bool, dict[str, int]]:
-    """Evaluate one postulate instance; True means the case conforms."""
-    code = kind.code
-    n = len(ranks)
-    full = (1 << n) - 1
+def _achieve_keeps_beliefs(ranks, code, a):
+    return _subset(_bel_mask(ranks), achieve_bel(ranks, a, code)), {}
+
+
+def _vacuity(ranks, code, a):
+    """Achieving the drop of an unbelieved alpha adds no belief model."""
     bel = _bel_mask(ranks)
-    a = formulas.get("alpha")
+    return not bel & ~a or _subset(achieve_bel(ranks, a, code), bel), {}
 
-    if pid is PostulateId.C1 or pid is PostulateId.D1:
-        return _subset(bel, achieve_bel(ranks, a, code)), {}
 
-    if pid is PostulateId.C2 or pid is PostulateId.D2:
-        if bel & ~a:
-            return _subset(achieve_bel(ranks, a, code), bel), {}
+def _success(ranks, code, a):
+    return a == (1 << len(ranks)) - 1 or not _subset(achieve_bel(ranks, a, code), a), {}
+
+
+def _new_models_are_counter_worlds(ranks, code, a):
+    return _subset(achieve_bel(ranks, a, code) & a, _bel_mask(ranks)), {}
+
+
+def _extensional(ranks, code, a):
+    """Two representatives of the alpha class give the same beliefs."""
+    m1, m2 = _rep_models(a, len(ranks))
+    return achieve_bel(ranks, m1, code) == achieve_bel(ranks, m2, code), {}
+
+
+def _conjunctive_overlap(ranks, code, a, b):
+    lhs = achieve_bel(ranks, a & b, code)
+    return _subset(lhs, achieve_bel(ranks, a, code) | achieve_bel(ranks, b, code)), {}
+
+
+def _conjunctive_inclusion(ranks, code, a, b):
+    mab = achieve_bel(ranks, a & b, code)
+    return not mab & ~b or _subset(achieve_bel(ranks, b, code), mab), {}
+
+
+def _drops_within_layer_bound(ranks, code, a):
+    if a == (1 << len(ranks)) - 1:
         return True, {}
-
-    if pid is PostulateId.C3:
-        if a == full:
+    cur = ranks
+    for _ in range(max(ranks) + 2):
+        if _bel_mask(cur) & ~a:
             return True, {}
-        return not _subset(achieve_bel(ranks, a, code), a), {}
+        cur = step_ranks(cur, a, code)
+    return False, {}
 
-    if pid is PostulateId.C4 or pid is PostulateId.D4:
-        return _subset(achieve_bel(ranks, a, code) & a, bel), {}
 
-    if pid is PostulateId.C5:
-        sig = _canon_sig(n_atoms)
-        st = _state_of(ranks, sig)
-        f1, f2 = _reps(a, sig)
-        m1 = belief_models(achieve(st, f1, kind).state)
-        m2 = belief_models(achieve(st, f2, kind).state)
-        return m1 == m2, {}
+def _syntax_independent(ranks, code, a1, a2, *, whole_order: bool):
+    """Representatives of two classes, stepped in sequence, agree after one
+    and after two steps: on the whole order with ``whole_order``, else on
+    the belief models.
+    """
+    n = len(ranks)
+    firsts = [step_ranks(ranks, m1, code) for m1 in _rep_models(a1, n)]
+    seconds = [step_ranks(r, m2, code) for r in firsts for m2 in _rep_models(a2, n)]
+    if not whole_order:
+        firsts = [_bel_mask(r) for r in firsts]
+        seconds = [_bel_mask(r) for r in seconds]
+    return len(set(firsts)) == 1 and len(set(seconds)) == 1, {}
 
-    if pid is PostulateId.C6 or pid is PostulateId.D6:
-        b = formulas["beta"]
-        lhs = achieve_bel(ranks, a & b, code)
-        return _subset(lhs, achieve_bel(ranks, a, code) | achieve_bel(ranks, b, code)), {}
 
-    if pid is PostulateId.C7 or pid is PostulateId.D7:
-        b = formulas["beta"]
-        mab = achieve_bel(ranks, a & b, code)
-        if mab & ~b:
-            return _subset(achieve_bel(ranks, b, code), mab), {}
+def _achieve_agrees_after_step(ranks, code, a, b, *, on_alpha: bool):
+    """Achieving beta after one alpha step gives the same belief models as
+    before the step: on the alpha-worlds with ``on_alpha``, else off beta.
+    """
+    m1 = achieve_bel(step_ranks(ranks, a, code), b, code)
+    m2 = achieve_bel(ranks, b, code)
+    region = a if on_alpha else ((1 << len(ranks)) - 1) & ~b
+    return (m1 ^ m2) & region == 0, {}
+
+
+def _entailment_transfer(ranks, code, a, b, g, *, forward: bool):
+    """If achieving beta entails gamma on one side of an alpha step, it does
+    on the other: from before to after with ``forward``, else backwards.
+    """
+    before = _subset(achieve_bel(ranks, b, code), g)
+    after = _subset(achieve_bel(step_ranks(ranks, a, code), b, code), g)
+    return (after or not before) if forward else (before or not after), {}
+
+
+def _step_keeps_giveup_successor(ranks, code, a, b, g):
+    if not giveup_ll_masks(ranks, g, b, code):
         return True, {}
-
-    if pid is PostulateId.D3 or pid is PostulateId.HESITANCE:
-        if a == full:
-            return True, {}
-        cur = ranks
-        for _ in range(max(ranks) + 2):
-            if _bel_mask(cur) & ~a:
-                return True, {}
-            cur = step_ranks(cur, a, code)
-        return False, {}
-
-    if pid is PostulateId.D5 or pid is PostulateId.SFA3:
-        sig = _canon_sig(n_atoms)
-        st = _state_of(ranks, sig)
-        reps1 = _reps(formulas["alpha1"], sig)
-        reps2 = _reps(formulas["alpha2"], sig)
-        ref = None
-        for f1 in reps1:
-            for f2 in reps2:
-                out = step(step(st, f1, kind), f2, kind)
-                key = out.order.ranks if pid is PostulateId.SFA3 else belief_models(out)
-                if ref is None:
-                    ref = key
-                elif key != ref:
-                    return False, {}
-        d1 = {step(st, f1, kind).order.ranks for f1 in reps1}
-        if pid is PostulateId.SFA3:
-            return len(d1) == 1, {}
-        return len({_bel_mask(r) for r in d1}) == 1, {}
-
-    if pid is PostulateId.D8:
-        b = formulas["beta"]
-        after = step_ranks(ranks, a, code)
-        m1 = achieve_bel(after, b, code)
-        m2 = achieve_bel(ranks, b, code)
-        return (m1 ^ m2) & a == 0, {}
-
-    if pid is PostulateId.D9:
-        b = formulas["beta"]
-        after = step_ranks(ranks, a, code)
-        m1 = achieve_bel(after, b, code)
-        m2 = achieve_bel(ranks, b, code)
-        return (m1 ^ m2) & (full & ~b) == 0, {}
-
-    if pid is PostulateId.D10:
-        b = formulas["beta"]
-        g = formulas["gamma"]
-        after = step_ranks(ranks, a, code)
-        if _subset(achieve_bel(after, b, code), g):
-            return _subset(achieve_bel(ranks, b, code), g), {}
-        return True, {}
-
-    if pid is PostulateId.D11:
-        b = formulas["beta"]
-        g = formulas["gamma"]
-        after = step_ranks(ranks, a, code)
-        if _subset(achieve_bel(ranks, b, code), g):
-            return _subset(achieve_bel(after, b, code), g), {}
-        return True, {}
-
-    if pid is PostulateId.D12:
-        b = formulas["beta"]
-        g = formulas["gamma"]
-        if giveup_ll_masks(ranks, g, b, code):
-            after = step_ranks(ranks, a, code)
-            return giveup_leq_masks(after, b, g, code), {}
-        return True, {}
-
-    if pid is PostulateId.D13:
-        return _subset(bel, _bel_mask(step_ranks(ranks, a, code))), {}
-
-    if pid in DR_POSTULATES:
-        after = step_ranks(ranks, a, code)
-        return _eval_dr(pid, ranks, after, a, full)
-
-    if pid is PostulateId.SFA1:
-        for w1 in range(n):
-            if ranks[w1] != 0:
-                continue
-            for w2 in range(n):
-                if ranks[w2] == 0 and ranks[w1] != ranks[w2]:
-                    return False, {"omega1": w1, "omega2": w2}
-        return True, {}
-
-    if pid is PostulateId.SFA2:
-        for w1 in range(n):
-            if ranks[w1] != 0:
-                continue
-            for w2 in range(n):
-                if ranks[w2] != 0 and not ranks[w1] < ranks[w2]:
-                    return False, {"omega1": w1, "omega2": w2}
-        return True, {}
-
-    if pid is PostulateId.DECREMENT_SUCCESS:
-        final, nsteps = achieve_ranks(ranks, a, code)
-        if a == full:
-            return nsteps == 0 and final == ranks, {}
-        cur = ranks
-        for _ in range(nsteps):
-            if _bel_mask(cur) & ~a:
-                return False, {}
-            cur = step_ranks(cur, a, code)
-        if not _bel_mask(final) & ~a:
-            return False, {}
-        expected = bel | _min_rank_mask(ranks, full & ~a)
-        return _bel_mask(final) == expected, {}
-
-    if pid is PostulateId.PARTIAL_SUCCESS:
-        after = _bel_mask(step_ranks(ranks, a, code))
-        upper = bel | _min_rank_mask(ranks, full & ~a)
-        return _subset(bel, after) and _subset(after, upper), {}
-
-    if pid is PostulateId.LEMMA1:
-        w = worlds["omega"]
-        got = achieve_bel(ranks, full & ~(1 << w), code)
-        return got == bel | (1 << w), {}
-
-    if pid is PostulateId.LEMMA3:
-        g = formulas["gamma"]
-        b = formulas["beta"]
-        if not giveup_lt_masks(ranks, g, b, code):
-            return True, {}
-        lhs = giveup_ll_masks(ranks, g, b, code)
-        minb = _min_rank_mask(ranks, full & ~b)
-        ming = _min_rank_mask(ranks, full & ~g)
-        rhs = True
-        for w1 in range(n):
-            if not (minb >> w1) & 1:
-                continue
-            for w2 in range(n):
-                if not (ming >> w2) & 1:
-                    continue
-                if not (ranks[w2] == ranks[w1] or ranks[w2] + 1 == ranks[w1]):
-                    rhs = False
-        return lhs == rhs, {}
-
-    if pid in (PostulateId.IC1, PostulateId.IC2, PostulateId.IC3, PostulateId.IC4):
-        after = achieve_ranks(ranks, a, code)[0]
-        for w1 in range(n):
-            in1 = (a >> w1) & 1
-            for w2 in range(n):
-                in2 = (a >> w2) & 1
-                witness = {"omega1": w1, "omega2": w2}
-                if pid is PostulateId.IC1 and in1 and in2:
-                    if (ranks[w1] <= ranks[w2]) != (after[w1] <= after[w2]):
-                        return False, witness
-                elif pid is PostulateId.IC2 and not in1 and not in2:
-                    if (ranks[w1] <= ranks[w2]) != (after[w1] <= after[w2]):
-                        return False, witness
-                elif pid is PostulateId.IC3 and not in1 and in2:
-                    if ranks[w1] < ranks[w2] and not after[w1] < after[w2]:
-                        return False, witness
-                elif pid is PostulateId.IC4 and not in1 and in2:
-                    if ranks[w1] <= ranks[w2] and not after[w1] <= after[w2]:
-                        return False, witness
-        return True, {}
-
-    raise ValueError(f"unknown postulate {pid!r}")
+    return giveup_leq_masks(step_ranks(ranks, a, code), b, g, code), {}
 
 
-def _eval_dr(
-    pid: PostulateId, before: tuple, after: tuple, a: int, full: int
-) -> tuple[bool, dict[str, int]]:
-    n = len(before)
-    frontal = _kernel.frontal_bits(before, a) if pid is PostulateId.DR15 else 0
-    for w1 in range(n):
-        in1 = (a >> w1) & 1
-        for w2 in range(n):
-            in2 = (a >> w2) & 1
-            witness = {"omega1": w1, "omega2": w2}
-            if pid is PostulateId.DR8 and in1 and in2:
-                if (before[w1] <= before[w2]) != (after[w1] <= after[w2]):
-                    return False, witness
-            elif pid is PostulateId.DR9 and not in1 and not in2:
-                if (before[w1] <= before[w2]) != (after[w1] <= after[w2]):
-                    return False, witness
-            elif not in1 and in2:
-                if pid is PostulateId.DR10:
-                    if before[w1] <= before[w2] and not after[w1] <= after[w2]:
-                        return False, witness
-                elif pid is PostulateId.DR11:
-                    if before[w1] < before[w2] and not after[w1] < after[w2]:
-                        return False, witness
-                elif pid is PostulateId.DR12:
-                    if before[w1] == before[w2] + 1 and not after[w1] <= after[w2]:
-                        return False, witness
-                elif pid is PostulateId.DR13:
-                    if before[w2] == 0 and not after[w2] <= after[w1]:
-                        return False, witness
-                elif pid is PostulateId.DR14:
-                    if before[w1] == before[w2] and after[w2] != after[w1] + 1:
-                        return False, witness
-                elif pid is PostulateId.DR15:
-                    if (
-                        before[w1] == before[w2]
-                        and (frontal >> w1) & 1
-                        and after[w1] != after[w2]
-                    ):
-                        return False, witness
+def _step_keeps_beliefs(ranks, code, a):
+    return _subset(_bel_mask(ranks), _bel_mask(step_ranks(ranks, a, code))), {}
+
+
+def _pairwise(ranks, code, a, *, dr: int, achieved: bool = False):
+    """Pairwise condition DR<dr> between a state and its one-step successor,
+    or its achieve result with ``achieved``.
+    """
+    after = achieve_ranks(ranks, a, code)[0] if achieved else step_ranks(ranks, a, code)
+    return _pair_result(_kernel.dr_violation(ranks, after, a, 1 << (dr - 8)))
+
+
+def _faithful(ranks, code, *, strict: bool):
+    """Belief worlds are tied; with ``strict``, strictly below all others."""
+    for w1 in iter_worlds(_bel_mask(ranks)):
+        for w2, r2 in enumerate(ranks):
+            if strict:
+                bad = r2 != 0 and not ranks[w1] < r2
+            else:
+                bad = r2 == 0 and ranks[w1] != r2
+            if bad:
+                return _pair_result((w1, w2))
     return True, {}
 
 
-# --- case generation ---------------------------------------------------------
-
-_SINGLE_ALPHA = frozenset(
-    {
-        PostulateId.C1,
-        PostulateId.C2,
-        PostulateId.C3,
-        PostulateId.C4,
-        PostulateId.C5,
-        PostulateId.D1,
-        PostulateId.D2,
-        PostulateId.D3,
-        PostulateId.D4,
-        PostulateId.D13,
-        PostulateId.HESITANCE,
-        PostulateId.DECREMENT_SUCCESS,
-        PostulateId.PARTIAL_SUCCESS,
-        PostulateId.IC1,
-        PostulateId.IC2,
-        PostulateId.IC3,
-        PostulateId.IC4,
-    }
-)
-
-_ALPHA_BETA = frozenset({PostulateId.C6, PostulateId.C7, PostulateId.D6, PostulateId.D7})
+def _decrement_success(ranks, code, a):
+    full = (1 << len(ranks)) - 1
+    final, nsteps = achieve_ranks(ranks, a, code)
+    if a == full:
+        return nsteps == 0 and final == ranks, {}
+    cur = ranks
+    for _ in range(nsteps):
+        if _bel_mask(cur) & ~a:
+            return False, {}
+        cur = step_ranks(cur, a, code)
+    if not _bel_mask(final) & ~a:
+        return False, {}
+    expected = _bel_mask(ranks) | _min_rank_mask(ranks, full & ~a)
+    return _bel_mask(final) == expected, {}
 
 
-def _inner_cases(pid: PostulateId, ranks: tuple) -> Iterator[tuple[dict, dict]]:
-    """Formula/world assignments for one state, exhaustive and in a fixed order."""
-    n = len(ranks)
-    full = (1 << n) - 1
-    classes = range(full + 1)
-    if pid in _SINGLE_ALPHA:
-        for a in classes:
-            yield {"alpha": a}, {}
-    elif pid in DR_POSTULATES:
-        bel = _bel_mask(ranks)
-        for a in classes:
-            if bel & ~a == 0:
-                yield {"alpha": a}, {}
-    elif pid in _ALPHA_BETA:
-        for a in classes:
-            for b in classes:
-                yield {"alpha": a, "beta": b}, {}
-    elif pid is PostulateId.D5 or pid is PostulateId.SFA3:
-        for a1 in classes:
-            for a2 in classes:
-                yield {"alpha1": a1, "alpha2": a2}, {}
-    elif pid is PostulateId.D8:
-        for a in classes:
-            na = full & ~a
-            for b in classes:
-                if na & ~b == 0:
-                    yield {"alpha": a, "beta": b}, {}
-    elif pid is PostulateId.D9:
-        for a in classes:
-            for b in classes:
-                if a & ~b == 0:
-                    yield {"alpha": a, "beta": b}, {}
-    elif pid is PostulateId.D10:
-        for a in classes:
-            for g in classes:
-                if a & ~g == 0:
-                    for b in classes:
-                        yield {"alpha": a, "beta": b, "gamma": g}, {}
-    elif pid is PostulateId.D11:
-        for a in classes:
-            na = full & ~a
-            for g in classes:
-                if na & ~g == 0:
-                    for b in classes:
-                        yield {"alpha": a, "beta": b, "gamma": g}, {}
-    elif pid is PostulateId.D12:
-        for a in classes:
-            na = full & ~a
-            for b in classes:
-                if a & ~b:
-                    continue
-                for g in classes:
-                    if na & ~g == 0:
-                        yield {"alpha": a, "beta": b, "gamma": g}, {}
-    elif pid is PostulateId.LEMMA3:
-        for g in classes:
-            for b in classes:
-                yield {"gamma": g, "beta": b}, {}
-    elif pid is PostulateId.LEMMA1:
-        for w in range(n):
-            yield {}, {"omega": w}
-    elif pid is PostulateId.SFA1 or pid is PostulateId.SFA2:
-        yield {}, {}
-    else:
-        raise ValueError(f"unknown postulate {pid!r}")
+def _partial_success(ranks, code, a):
+    bel = _bel_mask(ranks)
+    after = _bel_mask(step_ranks(ranks, a, code))
+    upper = bel | _min_rank_mask(ranks, ((1 << len(ranks)) - 1) & ~a)
+    return _subset(bel, after) and _subset(after, upper), {}
 
 
-def _sample_case(pid: PostulateId, rng: random.Random, n_worlds: int) -> tuple[tuple, dict, dict]:
-    """One random premise-satisfying case."""
-    full = (1 << n_worlds) - 1
-    n_cls = full + 1
-    ranks = _kernel.compress_keys([rng.randrange(n_worlds) for _ in range(n_worlds)])
-    formulas: dict[str, int] = {}
-    worlds: dict[str, int] = {}
-    if pid in _SINGLE_ALPHA:
-        formulas["alpha"] = rng.randrange(n_cls)
-    elif pid in DR_POSTULATES:
-        bel = _bel_mask(ranks)
-        formulas["alpha"] = bel | (rng.randrange(n_cls) & full & ~bel)
-    elif pid in _ALPHA_BETA:
-        formulas["alpha"] = rng.randrange(n_cls)
-        formulas["beta"] = rng.randrange(n_cls)
-    elif pid is PostulateId.D5 or pid is PostulateId.SFA3:
-        formulas["alpha1"] = rng.randrange(n_cls)
-        formulas["alpha2"] = rng.randrange(n_cls)
-    elif pid is PostulateId.D8:
-        a = rng.randrange(n_cls)
-        formulas["alpha"] = a
-        formulas["beta"] = (full & ~a) | (rng.randrange(n_cls) & a)
-    elif pid is PostulateId.D9:
-        a = rng.randrange(n_cls)
-        formulas["alpha"] = a
-        formulas["beta"] = a | (rng.randrange(n_cls) & full & ~a)
-    elif pid is PostulateId.D10:
-        a = rng.randrange(n_cls)
-        formulas["alpha"] = a
-        formulas["beta"] = rng.randrange(n_cls)
-        formulas["gamma"] = a | (rng.randrange(n_cls) & full & ~a)
-    elif pid is PostulateId.D11:
-        a = rng.randrange(n_cls)
-        formulas["alpha"] = a
-        formulas["beta"] = rng.randrange(n_cls)
-        formulas["gamma"] = (full & ~a) | (rng.randrange(n_cls) & a)
-    elif pid is PostulateId.D12:
-        a = rng.randrange(n_cls)
-        formulas["alpha"] = a
-        formulas["beta"] = a | (rng.randrange(n_cls) & full & ~a)
-        formulas["gamma"] = (full & ~a) | (rng.randrange(n_cls) & a)
-    elif pid is PostulateId.LEMMA3:
-        formulas["gamma"] = rng.randrange(n_cls)
-        formulas["beta"] = rng.randrange(n_cls)
-    elif pid is PostulateId.LEMMA1:
-        worlds["omega"] = rng.randrange(n_worlds)
-    elif pid is PostulateId.SFA1 or pid is PostulateId.SFA2:
-        pass
-    else:
-        raise ValueError(f"unknown postulate {pid!r}")
-    return ranks, formulas, worlds
+def _contract_world(ranks, code, w):
+    """Achieving the drop of "not w" adds exactly w to the belief models."""
+    got = achieve_bel(ranks, ((1 << len(ranks)) - 1) & ~(1 << w), code)
+    return got == _bel_mask(ranks) | (1 << w), {}
 
 
-_DOMAIN_NOTES = {
-    **{p: "states x alpha classes" for p in _SINGLE_ALPHA},
-    **{p: "believed steps: states x alpha classes with alpha believed" for p in DR_POSTULATES},
-    **{p: "states x alpha x beta classes" for p in _ALPHA_BETA},
-    PostulateId.D5: "states x equivalent-representative sequences, depth <= 2",
-    PostulateId.SFA3: "states x equivalent-representative sequences, depth <= 2",
-    PostulateId.D8: "states x (alpha, beta) with not-alpha entailing beta",
-    PostulateId.D9: "states x (alpha, beta) with alpha entailing beta",
-    PostulateId.D10: "states x (alpha, beta, gamma) with alpha entailing gamma",
-    PostulateId.D11: "states x (alpha, beta, gamma) with not-alpha entailing gamma",
-    PostulateId.D12: "states x (alpha, beta, gamma) with alpha |= beta, not-alpha |= gamma",
-    PostulateId.LEMMA3: "states x (gamma, beta) classes",
-    PostulateId.LEMMA1: "states x worlds",
-    PostulateId.SFA1: "all states",
-    PostulateId.SFA2: "all states",
+def _giveup_successor_is_adjacent(ranks, code, g, b):
+    """Direct give-up successors are exactly adjacent minimal counter-worlds."""
+    if not giveup_lt_masks(ranks, g, b, code):
+        return True, {}
+    full = (1 << len(ranks)) - 1
+    minb = _min_rank_mask(ranks, full & ~b)
+    ming = _min_rank_mask(ranks, full & ~g)
+    rhs = all(
+        ranks[w2] in (ranks[w1], ranks[w1] - 1)
+        for w1 in iter_worlds(minb)
+        for w2 in iter_worlds(ming)
+    )
+    return giveup_ll_masks(ranks, g, b, code) == rhs, {}
+
+
+# --- the registry ------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Postulate:
+    """Everything the checker knows about one postulate id.
+
+    ``variables`` lists the quantified formula classes, plus ``omega`` for
+    a world, in nesting order.  ``above`` maps a variable to the mask it
+    must contain: ``bel`` (the state's belief models), ``alpha`` or
+    ``~alpha``, read from an earlier variable.  ``note`` is the domain
+    description printed in reports, and exhaustive mode is refused above
+    ``max_atoms``.
+    """
+
+    evaluate: Callable[..., tuple[bool, dict[str, int]]]
+    note: str
+    variables: tuple[str, ...] = ("alpha",)
+    above: Mapping[str, str] = field(default_factory=dict)
+    max_atoms: int = CHECKER_MAX_ATOMS
+
+
+_ALPHA = "states x alpha classes"
+_ALPHA_BETA = "states x alpha x beta classes"
+_BELIEVED = "believed steps: states x alpha classes with alpha believed"
+_REPRESENTATIVES = "states x equivalent-representative sequences, depth <= 2"
+_AB = ("alpha", "beta")
+_ABG = ("alpha", "beta", "gamma")
+_A12 = ("alpha1", "alpha2")
+_IF_BELIEVED = {"alpha": "bel"}
+
+REGISTRY: dict[PostulateId, Postulate] = {
+    PostulateId.C1: Postulate(_achieve_keeps_beliefs, _ALPHA),
+    PostulateId.C2: Postulate(_vacuity, _ALPHA),
+    PostulateId.C3: Postulate(_success, _ALPHA),
+    PostulateId.C4: Postulate(_new_models_are_counter_worlds, _ALPHA),
+    PostulateId.C5: Postulate(_extensional, _ALPHA, max_atoms=2),
+    PostulateId.C6: Postulate(_conjunctive_overlap, _ALPHA_BETA, _AB, max_atoms=2),
+    PostulateId.C7: Postulate(_conjunctive_inclusion, _ALPHA_BETA, _AB, max_atoms=2),
+    PostulateId.D1: Postulate(_achieve_keeps_beliefs, _ALPHA),
+    PostulateId.D2: Postulate(_vacuity, _ALPHA),
+    PostulateId.D3: Postulate(_drops_within_layer_bound, _ALPHA),
+    PostulateId.D4: Postulate(_new_models_are_counter_worlds, _ALPHA),
+    PostulateId.D5: Postulate(
+        partial(_syntax_independent, whole_order=False), _REPRESENTATIVES, _A12, max_atoms=2
+    ),
+    PostulateId.D6: Postulate(_conjunctive_overlap, _ALPHA_BETA, _AB, max_atoms=2),
+    PostulateId.D7: Postulate(_conjunctive_inclusion, _ALPHA_BETA, _AB, max_atoms=2),
+    PostulateId.D8: Postulate(
+        partial(_achieve_agrees_after_step, on_alpha=True),
+        "states x (alpha, beta) with not-alpha entailing beta",
+        _AB, above={"beta": "~alpha"}, max_atoms=2,
+    ),
+    PostulateId.D9: Postulate(
+        partial(_achieve_agrees_after_step, on_alpha=False),
+        "states x (alpha, beta) with alpha entailing beta",
+        _AB, above={"beta": "alpha"}, max_atoms=2,
+    ),
+    PostulateId.D10: Postulate(
+        partial(_entailment_transfer, forward=False),
+        "states x (alpha, beta, gamma) with alpha entailing gamma",
+        _ABG, above={"gamma": "alpha"}, max_atoms=2,
+    ),
+    PostulateId.D11: Postulate(
+        partial(_entailment_transfer, forward=True),
+        "states x (alpha, beta, gamma) with not-alpha entailing gamma",
+        _ABG, above={"gamma": "~alpha"}, max_atoms=2,
+    ),
+    PostulateId.D12: Postulate(
+        _step_keeps_giveup_successor,
+        "states x (alpha, beta, gamma) with alpha |= beta, not-alpha |= gamma",
+        _ABG, above={"beta": "alpha", "gamma": "~alpha"}, max_atoms=2,
+    ),
+    PostulateId.D13: Postulate(_step_keeps_beliefs, _ALPHA),
+    PostulateId.DR8: Postulate(partial(_pairwise, dr=8), _BELIEVED, above=_IF_BELIEVED),
+    PostulateId.DR9: Postulate(partial(_pairwise, dr=9), _BELIEVED, above=_IF_BELIEVED),
+    PostulateId.DR10: Postulate(partial(_pairwise, dr=10), _BELIEVED, above=_IF_BELIEVED),
+    PostulateId.DR11: Postulate(partial(_pairwise, dr=11), _BELIEVED, above=_IF_BELIEVED),
+    PostulateId.DR12: Postulate(partial(_pairwise, dr=12), _BELIEVED, above=_IF_BELIEVED),
+    PostulateId.DR13: Postulate(partial(_pairwise, dr=13), _BELIEVED, above=_IF_BELIEVED),
+    PostulateId.DR14: Postulate(partial(_pairwise, dr=14), _BELIEVED, above=_IF_BELIEVED),
+    PostulateId.DR15: Postulate(partial(_pairwise, dr=15), _BELIEVED, above=_IF_BELIEVED),
+    PostulateId.SFA1: Postulate(partial(_faithful, strict=False), "all states", ()),
+    PostulateId.SFA2: Postulate(partial(_faithful, strict=True), "all states", ()),
+    PostulateId.SFA3: Postulate(
+        partial(_syntax_independent, whole_order=True), _REPRESENTATIVES, _A12, max_atoms=2
+    ),
+    PostulateId.HESITANCE: Postulate(_drops_within_layer_bound, _ALPHA),
+    PostulateId.DECREMENT_SUCCESS: Postulate(_decrement_success, _ALPHA),
+    PostulateId.PARTIAL_SUCCESS: Postulate(_partial_success, _ALPHA),
+    PostulateId.LEMMA1: Postulate(_contract_world, "states x worlds", ("omega",)),
+    PostulateId.LEMMA3: Postulate(
+        _giveup_successor_is_adjacent,
+        "states x (gamma, beta) classes",
+        ("gamma", "beta"), max_atoms=2,
+    ),
+    PostulateId.IC1: Postulate(partial(_pairwise, dr=8, achieved=True), _ALPHA),
+    PostulateId.IC2: Postulate(partial(_pairwise, dr=9, achieved=True), _ALPHA),
+    PostulateId.IC3: Postulate(partial(_pairwise, dr=11, achieved=True), _ALPHA),
+    PostulateId.IC4: Postulate(partial(_pairwise, dr=10, achieved=True), _ALPHA),
 }
+
+
+# --- case generation ---------------------------------------------------------
+#
+# A case is a rank vector plus one value per variable of the postulate.
+
+def _low(rec: Postulate, var: str, values: tuple, bel: int, full: int) -> int:
+    """The mask ``var`` must contain, given the values of earlier variables."""
+    bound = rec.above.get(var)
+    if bound is None:
+        return 0
+    if bound == "bel":
+        return bel
+    a = values[rec.variables.index("alpha")]
+    return a if bound == "alpha" else full & ~a
+
+
+@lru_cache(maxsize=1 << 10)
+def _assignments(pid: PostulateId, n_worlds: int, bel: int) -> tuple[tuple[int, ...], ...]:
+    rec = REGISTRY[pid]
+    full = (1 << n_worlds) - 1
+    out: list[tuple[int, ...]] = [()]
+    for var in rec.variables:
+        grown = []
+        for values in out:
+            if var == "omega":
+                choices = range(n_worlds)
+            else:
+                low = _low(rec, var, values, bel, full)
+                choices = [m for m in range(full + 1) if low & ~m == 0]
+            grown.extend(values + (x,) for x in choices)
+        out = grown
+    return tuple(out)
+
+
+def _inner_cases(pid: PostulateId, ranks: tuple) -> tuple[tuple[int, ...], ...]:
+    """Variable values for one state, exhaustive and in a fixed order."""
+    reads_bel = "bel" in REGISTRY[pid].above.values()
+    return _assignments(pid, len(ranks), _bel_mask(ranks) if reads_bel else 0)
+
+
+def _sample_case(pid: PostulateId, rng: random.Random, n_worlds: int) -> tuple[tuple, tuple]:
+    """One random premise-satisfying case: (ranks, variable values)."""
+    rec = REGISTRY[pid]
+    full = (1 << n_worlds) - 1
+    ranks = _kernel.compress_keys([rng.randrange(n_worlds) for _ in range(n_worlds)])
+    bel = _bel_mask(ranks)
+    values: tuple[int, ...] = ()
+    for var in rec.variables:
+        if var == "omega":
+            values += (rng.randrange(n_worlds),)
+        else:
+            low = _low(rec, var, values, bel, full)
+            values += (low | (rng.randrange(full + 1) & full & ~low),)
+    return ranks, values
 
 
 # --- report assembly ---------------------------------------------------------
@@ -711,7 +559,7 @@ def _counterexample(
     worlds: dict[str, int],
     n_atoms: int,
 ) -> tuple[tuple, dict]:
-    layers = [tuple(worldset_to_bits(m, n_atoms)) for m in _layers_of(ranks)]
+    layers = [tuple(worldset_to_bits(m, n_atoms)) for m in to_layers(TotalPreorder(ranks))]
     doc = {
         "state": [list(layer) for layer in layers],
         "formulas": {k: worldset_to_bits(v, n_atoms) for k, v in sorted(formulas.items())},
@@ -735,34 +583,37 @@ def _run_chunk(
     hi: int,
 ) -> tuple[int, list[tuple[tuple, dict]]]:
     """Evaluate cases with index in [lo, hi); returns (cases, capped failures)."""
-    kind = OperatorKind(kind_value)
+    code = OperatorKind(kind_value).code
     pid = PostulateId(pid_value)
+    rec = REGISTRY[pid]
     n_worlds = 1 << n_atoms
     cases = 0
     failures: list[tuple[tuple, dict]] = []
 
-    def record(ranks, formulas, worlds, witness):
-        merged = dict(worlds)
-        merged.update(witness)
-        failures.append(_counterexample(ranks, formulas, merged, n_atoms))
+    def record(ranks, values, witness):
+        named = dict(zip(rec.variables, values))
+        worlds = {"omega": named.pop("omega")} if "omega" in named else {}
+        worlds.update(witness)
+        failures.append(_counterexample(ranks, named, worlds, n_atoms))
         if len(failures) > 4 * COUNTEREXAMPLE_CAP:
             failures[:] = heapq.nsmallest(COUNTEREXAMPLE_CAP, failures, key=lambda kv: kv[0])
 
     if isinstance(mode, Exhaustive):
         for ranks in islice(_kernel.weak_order_ranks(n_worlds), lo, hi):
-            for formulas, worlds in _inner_cases(pid, ranks):
-                cases += 1
-                ok, witness = _evaluate(kind, pid, ranks, formulas, worlds, n_atoms)
+            inner = _inner_cases(pid, ranks)
+            cases += len(inner)
+            for values in inner:
+                ok, witness = rec.evaluate(ranks, code, *values)
                 if not ok:
-                    record(ranks, formulas, worlds, witness)
+                    record(ranks, values, witness)
     else:
         for i in range(lo, hi):
             rng = random.Random(mode.seed * 2_000_003 + i)
-            ranks, formulas, worlds = _sample_case(pid, rng, n_worlds)
+            ranks, values = _sample_case(pid, rng, n_worlds)
             cases += 1
-            ok, witness = _evaluate(kind, pid, ranks, formulas, worlds, n_atoms)
+            ok, witness = rec.evaluate(ranks, code, *values)
             if not ok:
-                record(ranks, formulas, worlds, witness)
+                record(ranks, values, witness)
 
     failures = heapq.nsmallest(COUNTEREXAMPLE_CAP, failures, key=lambda kv: kv[0])
     return cases, failures
@@ -774,20 +625,17 @@ def _validate_domain(pid: PostulateId, sig: Signature, mode: Mode) -> None:
         raise DomainTooLargeError(
             f"checker limited to |Σ| <= {CHECKER_MAX_ATOMS}, got {n_atoms}"
         )
-    if isinstance(mode, Exhaustive) and pid in MULTI_FORMULA and n_atoms > CHECKER_MAX_ATOMS_MULTIFORMULA:
+    max_atoms = REGISTRY[pid].max_atoms
+    if isinstance(mode, Exhaustive) and n_atoms > max_atoms:
         raise DomainTooLargeError(
             f"exhaustive {pid.value} quantifies over formula tuples; "
-            f"limited to |Σ| <= {CHECKER_MAX_ATOMS_MULTIFORMULA}"
+            f"limited to |Σ| <= {max_atoms}"
         )
 
 
 def _coerce_postulate(p: Union[PostulateId, str]) -> PostulateId:
     if isinstance(p, PostulateId):
         return p
-    try:
-        return PostulateId(p)
-    except ValueError:
-        pass
     for member in PostulateId:
         if member.value.lower() == str(p).lower():
             return member
@@ -848,7 +696,7 @@ def check_postulate(
     best = heapq.nsmallest(COUNTEREXAMPLE_CAP, merged, key=lambda kv: kv[0])
     counterexamples = [doc for _, doc in best]
 
-    domain = f"{mode.describe(n_atoms)}; {_DOMAIN_NOTES[pid]}"
+    domain = f"{mode.describe(n_atoms)}; {REGISTRY[pid].note}"
     return CheckReport(
         postulate=pid.value,
         operator=kind.value,
@@ -957,14 +805,6 @@ def verify_representation(kind: Union[OperatorKind, str], sig: Signature) -> Che
     code = kind.code
     n = sig.n_worlds
     full = (1 << n) - 1
-    dr_ids = (
-        PostulateId.DR8,
-        PostulateId.DR9,
-        PostulateId.DR10,
-        PostulateId.DR11,
-        PostulateId.DR12,
-        PostulateId.DR13,
-    )
     cases = 0
     failures: list[tuple[tuple, dict]] = []
 
@@ -1002,8 +842,8 @@ def verify_representation(kind: Union[OperatorKind, str], sig: Signature) -> Che
                 continue
             succ = step_ranks(ranks, a, code)
             ind_succ = induced_ranks(succ, code)
-            for pid in dr_ids:
-                ok, witness = _eval_dr(pid, ind, ind_succ, a, full)
+            for pid, bit in islice(_DR_BITS.items(), 6):  # DR8..DR13
+                ok, witness = _pair_result(_kernel.dr_violation(ind, ind_succ, a, bit))
                 if not ok:
                     record(ranks, {"alpha": a}, witness, f"(iv) {pid.value} violated")
 
@@ -1026,18 +866,28 @@ def replay_counterexample(
     postulate: Union[PostulateId, str],
     counterexample: dict,
 ) -> bool:
-    """Re-evaluate a reported counterexample; True iff it still violates."""
+    """Re-evaluate a reported counterexample; True iff it still violates.
+
+    Raises StateFormatError when the state's layers do not partition the
+    worlds of one signature.
+    """
     kind = _coerce_kind(kind)
     pid = _coerce_postulate(postulate)
     layers = counterexample["state"]
-    n_atoms = len(layers[0][0])
-    masks = [worldset_from_bits(layer) for layer in layers]
-    ranks = [0] * (1 << n_atoms)
-    for i, mask in enumerate(masks):
-        for w in range(1 << n_atoms):
-            if (mask >> w) & 1:
-                ranks[w] = i
+    bits = [b for layer in layers for b in layer]
+    if not bits:
+        raise StateFormatError("counterexample state has no worlds")
+    n_atoms = len(bits[0])
+    if any(len(b) != n_atoms for b in bits):
+        raise StateFormatError("counterexample worlds differ in length")
+    try:
+        masks = [worldset_from_bits(layer) for layer in layers]
+        ranks = from_layers(masks, 1 << n_atoms).ranks
+    except ValueError as exc:
+        raise StateFormatError(f"counterexample state: {exc}") from None
     formulas = {k: worldset_from_bits(v) for k, v in counterexample["formulas"].items()}
     worlds = {k: world_from_bits(v) for k, v in counterexample["worlds"].items()}
-    ok, _ = _evaluate(kind, pid, tuple(ranks), formulas, worlds, n_atoms)
+    rec = REGISTRY[pid]
+    values = [worlds[v] if v == "omega" else formulas[v] for v in rec.variables]
+    ok, _ = rec.evaluate(ranks, kind.code, *values)
     return not ok

@@ -254,12 +254,25 @@ def cmd_enumerate(args) -> int:
 
 # --- argument parsing -----------------------------------------------------------
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type for step, case and output counts."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _add_check_flags(sub) -> None:
     sub.add_argument("--postulates", default="all", help="comma list of postulate ids, or 'all'")
     sub.add_argument("--atoms", type=int, required=True, help="signature size")
     sub.add_argument("--mode", choices=["exhaustive", "sample"], default="exhaustive")
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sample-mode RNG seed")
-    sub.add_argument("--count", type=int, default=DEFAULT_SAMPLE_COUNT, help="sample-mode case count")
+    sub.add_argument(
+        "--count", type=_nonnegative_int, default=DEFAULT_SAMPLE_COUNT, help="sample-mode case count"
+    )
     sub.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     sub.add_argument("--expect-pass", action="store_true", help="exit 1 if any cell fails")
     sub.add_argument("--out", help="write JSON to this file instead of stdout")
@@ -281,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state")
     p.add_argument("--formula", required=True)
     p.add_argument("--op", required=True, help="type1, type2, or instant")
-    p.add_argument("--steps", type=int, default=None, help="number of steps (default 1)")
+    p.add_argument("--steps", type=_nonnegative_int, default=None, help="number of steps (default 1)")
     p.add_argument("--achieve", action="store_true", help="repeat until the belief drops")
     p.add_argument("--out", help="write the result JSON to this file")
     p.set_defaults(func=cmd_apply)
@@ -307,13 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state")
     p.add_argument("--formula", required=True)
     p.add_argument("--constraints", required=True, help="comma list from DR8..DR15")
-    p.add_argument("--limit", type=int, default=10, help="successors to print")
+    p.add_argument("--limit", type=_nonnegative_int, default=10, help="successors to print")
     p.add_argument("--out", help="write the result JSON to this file")
     p.set_defaults(func=cmd_sat)
 
     p = subs.add_parser("enumerate", help="stream every total preorder for a signature size")
     p.add_argument("--atoms", type=int, required=True)
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_nonnegative_int, default=None)
     p.add_argument("--count", action="store_true", help="print only the number of preorders")
     p.set_defaults(func=cmd_enumerate)
 

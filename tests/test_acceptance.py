@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
+import hashlib
 import json
 import math
 import pathlib
@@ -29,6 +30,7 @@ SIG2 = Signature(("a", "b"))
 PSI1 = EpistemicState(SIG2, TotalPreorder((2, 2, 1, 0)))
 CONFLICT = EpistemicState(SIG2, TotalPreorder((1, 2, 0, 0)))
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+MATRIX2_SHA256 = "b30f13ca515d3b21c5373f045b0e913f3c0e36851dd59bca963ee491a018dd43"
 
 
 @contextmanager
@@ -178,3 +180,5 @@ def test_criterion_9_matrix_determinism():
         m1 = conformance_matrix(list(OperatorKind), "all", SIG2, workers=1)
         m2 = conformance_matrix(list(OperatorKind), "all", SIG2, workers=2)
         assert m1.to_json().encode("utf-8") == m2.to_json().encode("utf-8")
+        # the same digest perfbench/expected_matrix2.json checks
+        assert hashlib.sha256(m1.to_json().encode("utf-8")).hexdigest() == MATRIX2_SHA256

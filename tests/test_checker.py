@@ -5,7 +5,9 @@ state/operator API, without touching the checker's internal case machinery,
 and must agree with every report outcome they cover.
 """
 
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -24,7 +26,7 @@ from decrement.checker import (
 from decrement.logic import And, Signature, formula_from_worldset, negated_world, parse_formula
 from decrement.operators import OperatorKind, achieve, step
 from decrement.preorder import UniverseTooLargeError, enumerate_preorders, leq, lt
-from decrement.state import EpistemicState, belief_models, believes
+from decrement.state import EpistemicState, StateFormatError, belief_models, believes
 
 T1 = OperatorKind.TYPE1_DECREMENT
 T2 = OperatorKind.TYPE2_DECREMENT
@@ -106,17 +108,22 @@ def naive_lemma1(kind):
 
 
 def naive_dr(kind, pid):
-    """Pairwise DR conditions on believed steps, via the public order API."""
+    """Pairwise order conditions, via the public order API.
+
+    DRk compares a state with its successor on believed steps; ICk
+    compares it with the achieve result, for every alpha class.
+    """
     from decrement.logic import models
     from decrement.operators import frontal
 
+    iterated = pid.startswith("IC")
     violations = []
     for st in states():
         for f in CLASSES:
-            if not believes(st, f):
+            if not iterated and not believes(st, f):
                 continue
             amask = models(f, SIG2)
-            succ = step(st, f, kind)
+            succ = ach(st, f, kind) if iterated else step(st, f, kind)
             b, a = st.order, succ.order
             for w1 in range(4):
                 for w2 in range(4):
@@ -143,6 +150,14 @@ def naive_dr(kind, pid):
                             and frontal(w1, f, st)
                             and a.ranks[w1] != a.ranks[w2]
                         )
+                    elif pid == "IC1" and in1 and in2:
+                        bad = leq(w1, w2, b) != leq(w1, w2, a)
+                    elif pid == "IC2" and not in1 and not in2:
+                        bad = leq(w1, w2, b) != leq(w1, w2, a)
+                    elif pid == "IC3" and not in1 and in2:
+                        bad = lt(w1, w2, b) and not lt(w1, w2, a)
+                    elif pid == "IC4" and not in1 and in2:
+                        bad = leq(w1, w2, b) and not leq(w1, w2, a)
                     if bad:
                         violations.append((st.order.ranks, w1, w2))
     return violations
@@ -167,7 +182,8 @@ class TestNaiveOracleAgreement:
 
     @pytest.mark.parametrize("kind", list(OperatorKind))
     @pytest.mark.parametrize(
-        "pid", ["DR8", "DR9", "DR10", "DR11", "DR12", "DR13", "DR14", "DR15"]
+        "pid",
+        ["DR8", "DR9", "DR10", "DR11", "DR12", "DR13", "DR14", "DR15", "IC1", "IC2", "IC3", "IC4"],
     )
     def test_dr_level(self, kind, pid):
         report = check_postulate(kind, pid, SIG2)
@@ -262,6 +278,16 @@ class TestMatrix:
         rep = check_postulate(T2, PostulateId.D1, sig3, Sample(seed=3, count=40))
         assert rep.outcome == "pass"
 
+    def test_three_atom_sample_matrix_pinned(self):
+        # Pins the sampler's RNG stream and every evaluator at three atoms.
+        # A change to how sample cases are drawn must update this digest
+        # and say why.
+        matrix = conformance_matrix(
+            list(OperatorKind), "all", Signature("abc"), Sample(seed=7, count=200)
+        )
+        digest = hashlib.sha256(matrix.to_json().encode("utf-8")).hexdigest()
+        assert digest == "7c60f7a0e8e5846e226c1e685d23b545e334f77bfa57f9ba105a713ea56d55b3"
+
     def test_partial_success_sampled_three_atoms(self):
         sig3 = Signature(("a", "b", "c"))
         for kind in (T1, T2):
@@ -342,12 +368,34 @@ class TestVerifyRepresentation:
 
 class TestReplaySoundness:
     def test_all_failing_cells_replay(self):
-        # every counterexample of every failing cell re-evaluates to a violation
-        for kind in OperatorKind:
-            for pid in (PostulateId.D12, PostulateId.DR12, PostulateId.DR14, PostulateId.DR15):
-                report = check_postulate(kind, pid, SIG2)
-                for ce in report.counterexamples:
-                    assert replay_counterexample(kind, pid, ce), (kind, pid, ce)
+        # every counterexample of every failing cell of the two-atom matrix
+        # re-evaluates to a violation
+        matrix = conformance_matrix(list(OperatorKind), "all", SIG2)
+        assert matrix.failures()
+        for report in matrix.failures():
+            assert report.counterexamples
+            for ce in report.counterexamples:
+                assert replay_counterexample(report.operator, report.postulate, ce), (
+                    report.operator,
+                    report.postulate,
+                    ce,
+                )
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            [],  # no layers at all
+            [[]],  # one empty layer
+            [["11"]],  # three of the four worlds missing
+            [["11", "10"], ["10", "01", "00"]],  # a world in two layers
+            [["11", "10", "01", "00"], []],  # empty top layer
+            [["11", "1"], ["01", "00"]],  # worlds of different lengths
+        ],
+    )
+    def test_malformed_state_rejected(self, state):
+        ce = {"state": state, "formulas": {"alpha": ["11"]}, "worlds": {}}
+        with pytest.raises(StateFormatError):
+            replay_counterexample(IN, PostulateId.DR12, ce)
 
     def test_counterexamples_sorted_smallest_first(self):
         report = check_postulate(IN, PostulateId.DR12, SIG2)
@@ -382,3 +430,23 @@ class TestGoldenReports:
             ],
         }
         assert json.dumps(doc, indent=2, ensure_ascii=False) + "\n" == golden.read_text(encoding="utf-8")
+
+
+class TestRegistry:
+    """The case generators read each postulate's record; these tests reach
+    into the checker's internals on purpose."""
+
+    def test_every_postulate_has_a_record(self):
+        from decrement.checker import REGISTRY
+
+        assert list(REGISTRY) == list(PostulateId)
+
+    @pytest.mark.parametrize("pid", list(PostulateId))
+    def test_sampled_cases_are_enumerated_cases(self, pid):
+        # the sampler and the enumerator agree on every premise
+        from decrement.checker import _inner_cases, _sample_case
+
+        rng = random.Random(pid.value)
+        for _ in range(200):
+            ranks, values = _sample_case(pid, rng, 4)
+            assert values in _inner_cases(pid, ranks), (ranks, values)

@@ -264,3 +264,21 @@ class TestExitCodeContract:
         with pytest.raises(SystemExit) as exc:
             main(["apply"])  # missing required flags
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["apply", PSI1, "--formula", "a", "--op", "type1", "--steps", "-1"],
+            ["check", "--op", "type1", "--postulates", "D1", "--atoms", "2",
+             "--mode", "sample", "--count", "-1"],
+            ["enumerate", "--atoms", "2", "--limit", "-1"],
+            ["sat", PSI1, "--formula", "a", "--constraints", "DR8", "--limit", "-1"],
+        ],
+    )
+    def test_negative_count_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be nonnegative, got -1" in err
+        assert "Traceback" not in err
