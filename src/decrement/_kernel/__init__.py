@@ -40,3 +40,8 @@ dr_satisfied = _impl.dr_satisfied
 # The pairwise DR conditions are written once, in Python; the compiled
 # dr_satisfied mirrors them and the parity tests hold the two together.
 dr_violation = _pykernel.dr_violation
+
+
+def dr_successors(before, amask: int, cmask: int):
+    """_pykernel.dr_successors; an unconstrained search streams this backend's orders."""
+    return _pykernel.dr_successors(before, amask, cmask, all_orders=weak_order_ranks)

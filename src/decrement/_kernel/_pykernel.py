@@ -20,30 +20,57 @@ KIND_INSTANT = 2
 MAX_UNIVERSE = 8
 
 
+def _check_universe(n: int) -> int:
+    if not 1 <= n <= MAX_UNIVERSE:
+        raise ValueError(f"universe size {n} outside 1..{MAX_UNIVERSE}")
+    return n
+
+
 def weak_order_ranks(n: int):
-    """Yield every compressed rank vector on n worlds, lexicographically.
+    """Every compressed rank vector on n worlds, lexicographically.
 
     A valid vector occupies exactly the ranks 0..k for some k; the stream
     counts match the ordered-set-partition (Fubini) numbers.
     """
-    if not 1 <= n <= MAX_UNIVERSE:
-        raise ValueError(f"universe size {n} outside 1..{MAX_UNIVERSE}")
+    return _ordered_ranks(_check_universe(n), None)
+
+
+def _ordered_ranks(n: int, compat):
+    """The weak_order_ranks stream, restricted by pairwise rank masks.
+
+    World i takes ranks v = 0, 1, ... in turn, as long as the ranks left
+    unused below the highest one so far can still be filled by the worlds
+    after it.  With ``compat`` (see dr_successors), v must also lie in
+    ``compat[i][j][vec[j]]`` for every earlier world j.
+    """
     vec = [0] * n
+    last = n - 1
 
-    def rec(i: int, used: int, top: int):
-        if i == n:
-            yield tuple(vec)
-            return
-        budget = n - i - 1
+    def rec(i: int, used: int, count: int, top: int):
+        budget = last - i
+        allowed = -1
+        if compat is not None:
+            row = compat[i]
+            for j in range(i):
+                allowed &= row[j][vec[j]]
         for v in range(n):
-            new_used = used | (1 << v)
-            new_top = v if v > top else top
-            gaps = bin(((1 << (new_top + 1)) - 1) & ~new_used).count("1")
-            if gaps <= budget:
-                vec[i] = v
-                yield from rec(i + 1, new_used, new_top)
+            if v > top:
+                new_top, new_count = v, count + 1
+            else:
+                new_top, new_count = top, count + (not (used >> v) & 1)
+            if new_top + 1 - new_count > budget:  # too many unused ranks
+                if v > top:
+                    break  # a higher v leaves more
+                continue
+            if not (allowed >> v) & 1:
+                continue
+            vec[i] = v
+            if i == last:
+                yield tuple(vec)
+            else:
+                yield from rec(i + 1, used | (1 << v), new_count, new_top)
 
-    yield from rec(0, 0, -1)
+    return rec(0, 0, 0, -1)
 
 
 def compress_keys(keys) -> tuple:
@@ -130,18 +157,25 @@ def step_ranks(ranks, amask: int, kind: int) -> tuple:
     return compress_keys(keys)
 
 
-def dr_violation(before, after, amask: int, cmask: int):
+def dr_violation(before, after, amask: int, cmask: int, *, frontal=None):
     """First world pair that breaks a selected DR constraint, or None.
 
     The constraints are evaluated literally against the earlier order and
     the candidate successor, with no restriction on whether alpha was
     believed.  Pairs are scanned with w1 as the outer loop, so the pair
-    returned is the smallest (w1, w2) in that order.
+    returned is the smallest (w1, w2) in that order.  ``frontal`` overrides
+    the DR15 frontal counter-worlds of ``before``; a caller evaluating a
+    restriction of a larger state passes the bits computed on the whole.
     """
     n = len(before)
+    if len(after) != n or not 1 <= n <= MAX_UNIVERSE:  # inline: runs once per checker case
+        raise ValueError(
+            f"rank vectors of lengths {n} and {len(after)}; need equal lengths in 1..{MAX_UNIVERSE}"
+        )
     full = (1 << n) - 1
     amask &= full
-    frontal = frontal_bits(before, amask) if cmask & 128 else 0
+    if frontal is None:
+        frontal = frontal_bits(before, amask) if cmask & 128 else 0
     for w1 in range(n):
         a1 = (amask >> w1) & 1
         b1 = before[w1]
@@ -175,3 +209,42 @@ def dr_violation(before, after, amask: int, cmask: int):
 def dr_satisfied(before, after, amask: int, cmask: int) -> bool:
     """True iff no world pair breaks a selected DR constraint."""
     return dr_violation(before, after, amask, cmask) is None
+
+
+def dr_successors(before, amask: int, cmask: int, *, all_orders=weak_order_ranks):
+    """The vectors ``after`` with dr_satisfied(before, after, amask, cmask).
+
+    They come in weak_order_ranks order.  Every DR condition reads one world
+    pair, so a vector passes iff each of its pairs does.  For worlds j < i,
+    ``compat[i][j][u]`` is the mask of ranks world i may take when world j
+    has rank u, from dr_violation on the two-world restriction of
+    ``before`` (with the frontal bits of the whole state).  The
+    weak_order_ranks recursion skips any rank outside the masks of the
+    worlds already placed.  Ranks are final once assigned, so it cuts only
+    branches that hold no passing vector: the stream is the filtered
+    enumeration, order included.  With no constrained pair the stream is
+    ``all_orders(n)`` unchanged.
+    """
+    n = _check_universe(len(before))
+    full = (1 << n) - 1
+    amask &= full
+    frontal = frontal_bits(before, amask) if cmask & 128 else 0
+    compat = []
+    for i in range(n):
+        rows = []
+        for j in range(i):
+            pair = (before[j], before[i])
+            pair_a = ((amask >> j) & 1) | ((amask >> i) & 1) << 1
+            pair_f = ((frontal >> j) & 1) | ((frontal >> i) & 1) << 1
+            rows.append([
+                sum(
+                    1 << v for v in range(n)
+                    if dr_violation(pair, (u, v), pair_a, cmask, frontal=pair_f) is None
+                )
+                for u in range(n)
+            ])
+        compat.append(rows)
+    # a rank mask is full, (1 << n) - 1, when it excludes no rank 0..n-1
+    if all(mask == full for rows in compat for row in rows for mask in row):
+        return all_orders(n)
+    return _ordered_ranks(n, compat)

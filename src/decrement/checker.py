@@ -34,6 +34,7 @@ from __future__ import annotations
 import enum
 import heapq
 import json
+import os
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -661,7 +662,8 @@ def check_postulate(
     postulates over formula pairs and the give-up successor relation are
     capped at two atoms, everything else at three.  Reports are
     deterministic for identical (signature, mode, seed) regardless of the
-    worker count.
+    worker count.  At most one process per usable CPU is started, whatever
+    ``workers`` asks for.
     """
     kind = _coerce_kind(kind)
     pid = _coerce_postulate(postulate)
@@ -675,12 +677,9 @@ def check_postulate(
             raise ValueError("sample count must be nonnegative")
         total = mode.count
 
-    workers = max(1, workers)
-    bounds = [(total * i) // workers for i in range(workers + 1)]
     chunks = [
-        (kind.value, pid.value, n_atoms, mode, bounds[i], bounds[i + 1])
-        for i in range(workers)
-        if bounds[i] < bounds[i + 1]
+        (kind.value, pid.value, n_atoms, mode, lo, hi)
+        for lo, hi in _chunk_bounds(total, workers, _usable_cpus())
     ]
     if not chunks:
         results: list[tuple[int, list]] = []
@@ -705,6 +704,24 @@ def check_postulate(
         cases=cases,
         counterexamples=counterexamples,
     )
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _chunk_bounds(total: int, workers: int, cpus: int) -> list[tuple[int, int]]:
+    """Nonempty [lo, hi) chunks covering range(total), one per worker.
+
+    The worker count is capped at ``cpus``, so the number of chunks, and of
+    processes started for them, never exceeds it.
+    """
+    workers = max(1, min(workers, cpus))
+    bounds = [(total * i) // workers for i in range(workers + 1)]
+    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
 
 
 def _map_parallel(chunks: list[tuple]) -> list[tuple[int, list]]:
@@ -763,7 +780,9 @@ def successor_satisfiability(
 
     The constraints are evaluated literally against the given state and
     formula (no believed-step restriction), realising the existence
-    question for decreasing assignments one state at a time.
+    question for decreasing assignments one state at a time.  Only the
+    compatible orders are built (``_kernel.dr_successors``), listed in
+    lexicographic rank-vector order.
     """
     n = state.sig.n_worlds
     if n > _kernel.MAX_UNIVERSE:
@@ -778,11 +797,7 @@ def successor_satisfiability(
         cmask |= _DR_BITS[pid]
     amask = models(alpha, state.sig)
     before = state.order.ranks
-    out = []
-    for cand in _kernel.weak_order_ranks(n):
-        if _kernel.dr_satisfied(before, cand, amask, cmask):
-            out.append(TotalPreorder(cand))
-    return out
+    return [TotalPreorder(r) for r in _kernel.dr_successors(before, amask, cmask)]
 
 
 # --- representation check ------------------------------------------------------
@@ -869,7 +884,8 @@ def replay_counterexample(
     """Re-evaluate a reported counterexample; True iff it still violates.
 
     Raises StateFormatError when the state's layers do not partition the
-    worlds of one signature.
+    worlds of one signature, and DomainTooLargeError when its bitstrings
+    are longer than CHECKER_MAX_ATOMS.
     """
     kind = _coerce_kind(kind)
     pid = _coerce_postulate(postulate)
@@ -880,6 +896,10 @@ def replay_counterexample(
     n_atoms = len(bits[0])
     if any(len(b) != n_atoms for b in bits):
         raise StateFormatError("counterexample worlds differ in length")
+    if n_atoms > CHECKER_MAX_ATOMS:
+        raise DomainTooLargeError(
+            f"counterexample over {n_atoms} atoms; checker limited to |Σ| <= {CHECKER_MAX_ATOMS}"
+        )
     try:
         masks = [worldset_from_bits(layer) for layer in layers]
         ranks = from_layers(masks, 1 << n_atoms).ranks

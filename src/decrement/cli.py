@@ -1,6 +1,7 @@
 """Command line front end.
 
-Subcommands: show, apply, achieve, check, matrix, sat, enumerate.  Layer
+Subcommands: show, apply, achieve, check, matrix, sat, enumerate;
+``decrement --version`` prints the version and the kernel backend.  Layer
 tables print the highest layer first, so the most plausible worlds appear
 on the bottom row.  Machine-readable JSON goes to stdout (or --out where
 supported).  Exit codes: 0 success, 1 an --expect-pass check failed,
@@ -13,6 +14,7 @@ import argparse
 import json
 import sys
 
+from decrement import __version__, kernel_backend
 from decrement.checker import (
     ALL_POSTULATES,
     DomainTooLargeError,
@@ -273,7 +275,9 @@ def _add_check_flags(sub) -> None:
     sub.add_argument(
         "--count", type=_nonnegative_int, default=DEFAULT_SAMPLE_COUNT, help="sample-mode case count"
     )
-    sub.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+    sub.add_argument(
+        "--workers", type=int, default=1, help="parallel worker processes (at most one per CPU)"
+    )
     sub.add_argument("--expect-pass", action="store_true", help="exit 1 if any cell fails")
     sub.add_argument("--out", help="write JSON to this file instead of stdout")
 
@@ -282,6 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="decrement",
         description="Gradual belief contraction operators and a postulate conformance checker.",
+    )
+    parser.add_argument(
+        "--version",
+        action="version",
+        version=f"decrement {__version__} (kernel backend: {kernel_backend})",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 

@@ -265,6 +265,31 @@ class TestMatrix:
         m2 = conformance_matrix(list(OperatorKind), pids, SIG2, workers=3)
         assert m1.to_json().encode() == m2.to_json().encode()
 
+    def test_chunk_bounds_capped_at_cpus(self):
+        # planning only: no process is started for any of these
+        from decrement.checker import _chunk_bounds
+
+        assert _chunk_bounds(545_835, 10**9, 2) == [(0, 272_917), (272_917, 545_835)]
+        assert _chunk_bounds(3, 8, 16) == [(0, 1), (1, 2), (2, 3)]
+        assert _chunk_bounds(0, 4, 4) == []
+        assert _chunk_bounds(10, 0, 4) == [(0, 10)]
+
+    def test_huge_worker_request_keeps_report(self, monkeypatch):
+        import decrement.checker as checker
+
+        seen = []
+
+        def serial(chunks):
+            seen.append(len(chunks))
+            return [checker._run_chunk(*c) for c in chunks]
+
+        monkeypatch.setattr(checker, "_map_parallel", serial)
+        monkeypatch.setattr(checker, "_usable_cpus", lambda: 3)
+        one = check_postulate(IN, PostulateId.DR12, SIG2, workers=1)
+        many = check_postulate(IN, PostulateId.DR12, SIG2, workers=10**9)
+        assert seen == [3]
+        assert many.to_json() == one.to_json()
+
     def test_sample_mode_deterministic(self):
         mode = Sample(seed=7, count=64)
         r1 = check_postulate(T1, PostulateId.D8, SIG2, mode)
@@ -395,6 +420,22 @@ class TestReplaySoundness:
     def test_malformed_state_rejected(self, state):
         ce = {"state": state, "formulas": {"alpha": ["11"]}, "worlds": {}}
         with pytest.raises(StateFormatError):
+            replay_counterexample(IN, PostulateId.DR12, ce)
+
+    @pytest.mark.parametrize("n_atoms", [4, 40])
+    def test_too_many_atoms_rejected(self, n_atoms, monkeypatch):
+        import dataclasses
+
+        import decrement.checker as checker
+
+        def never(*args):
+            raise AssertionError("evaluator ran")
+
+        rec = dataclasses.replace(checker.REGISTRY[PostulateId.DR12], evaluate=never)
+        monkeypatch.setitem(checker.REGISTRY, PostulateId.DR12, rec)
+        world = "1" * n_atoms
+        ce = {"state": [[world]], "formulas": {"alpha": [world]}, "worlds": {}}
+        with pytest.raises(DomainTooLargeError):
             replay_counterexample(IN, PostulateId.DR12, ce)
 
     def test_counterexamples_sorted_smallest_first(self):

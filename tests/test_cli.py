@@ -240,6 +240,39 @@ class TestSat:
         assert code == 0
         assert len(last_json(out)["successors"]) == 1
 
+    # sha256 of the --out document (count and every successor, in order)
+    # for a four-layer three-atom state with the believed alpha a; pinned
+    # from the brute-force filter over all 545,835 candidate orders.
+    THREE_ATOM_STATE = {
+        "atoms": ["a", "b", "c"],
+        "layers": [["110"], ["011", "101"], ["000", "111"], ["001", "010", "100"]],
+    }
+
+    @pytest.mark.parametrize(
+        "constraints, count, sha256",
+        [
+            ("DR8,DR9,DR10,DR11,DR12,DR13", 6,
+             "05f35fc54d0c246c8e20ad15adb7327d9a773ae3eeb55cd01cd7ccf8f07d4773"),
+            ("DR9,DR12,DR13", 92,
+             "bb52304742277456901e3a597186d15cfe767bca0fa02c6ffc1c9e60c141b6e3"),
+            ("DR14", 268,
+             "d85e89a88306a14a29d5b3a4fdddc5251a2b1e16afeaed348b18bf096bcf9c27"),
+        ],
+    )
+    def test_three_atom_output_pinned(self, capsys, tmp_path, constraints, count, sha256):
+        import hashlib
+
+        state = tmp_path / "state3.json"
+        state.write_text(json.dumps(self.THREE_ATOM_STATE))
+        out_path = tmp_path / "sat.json"
+        code, out, _ = run(
+            capsys, "sat", str(state), "--formula", "a", "--constraints", constraints,
+            "--limit", "300", "--out", str(out_path),
+        )
+        assert code == 0
+        assert out.splitlines()[0] == f"count: {count}"
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == sha256
+
 
 class TestEnumerate:
     def test_count(self, capsys):
@@ -257,6 +290,19 @@ class TestEnumerate:
     def test_too_many_atoms_exits_2(self, capsys):
         code, _, err = run(capsys, "enumerate", "--atoms", "4", "--count")
         assert code == 2
+
+
+class TestVersion:
+    def test_prints_version_and_backend(self, capsys):
+        import decrement
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.strip() == (
+            f"decrement {decrement.__version__} (kernel backend: {decrement.kernel_backend})"
+        )
 
 
 class TestExitCodeContract:

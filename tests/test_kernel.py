@@ -1,0 +1,150 @@
+"""The pure-Python kernel's DR primitives against independent oracles.
+
+``dr_successors`` must stream exactly the brute-force filter of
+``weak_order_ranks`` by ``dr_satisfied``, order included, and
+``dr_violation`` must report the first pair the DR definitions reject.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from decrement import _kernel
+from decrement._kernel import _pykernel
+
+
+def brute_force(before, amask, cmask):
+    n = len(before)
+    return [c for c in _kernel.weak_order_ranks(n) if _kernel.dr_satisfied(before, c, amask, cmask)]
+
+
+@st.composite
+def problems(draw, sizes):
+    """(before, amask, cmask) with ``before`` a compressed rank vector."""
+    n = draw(sizes)
+    keys = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    before = _pykernel.compress_keys(keys)
+    return before, draw(st.integers(0, (1 << n) - 1)), draw(st.integers(0, 255))
+
+
+class TestDrSuccessors:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_exhaustive_small(self, n):
+        for before in _kernel.weak_order_ranks(n):
+            for amask in range(1 << n):
+                for cmask in range(256):
+                    got = list(_kernel.dr_successors(before, amask, cmask))
+                    assert got == brute_force(before, amask, cmask), (before, amask, cmask)
+
+    @settings(max_examples=150, deadline=None)
+    @given(problems(st.integers(4, 5)))
+    def test_random_four_and_five_worlds(self, problem):
+        before, amask, cmask = problem
+        assert list(_kernel.dr_successors(before, amask, cmask)) == brute_force(*problem)
+
+    def test_unconstrained_streams_all_orders(self):
+        # DR14 with alpha a union of whole layers constrains no pair
+        sentinel = iter([("all", "orders")])
+        out = _pykernel.dr_successors((0, 1, 1, 2), 0b0110, 64, all_orders=lambda n: sentinel)
+        assert list(out) == [("all", "orders")]
+
+
+# --- dr_violation against the definitions -------------------------------------
+
+def naive_violations(before, after, amask):
+    """{(DR id, w1, w2)}: every pair each DR condition rejects.
+
+    Written from the definitions over the orders' relations and layers:
+    alpha-worlds keep their relative order (DR8), so do counter-worlds
+    (DR9); for a counter-world w1 and an alpha-world w2, w1 <= w2 is kept
+    (DR10), w1 < w2 is kept (DR11), w1 one layer directly above w2 ends at
+    or below it (DR12), a most plausible w2 stays at or below w1 (DR13),
+    sharing a layer puts w2 exactly one layer above w1 after (DR14), and a
+    frontal w1 stays in w2's layer (DR15).  A counter-world is frontal when
+    the layer directly below it holds no alpha-world and the layer directly
+    above it holds no counter-world.
+    """
+    n = len(before)
+    worlds = range(n)
+    alpha = {w for w in worlds if (amask >> w) & 1}
+    counter = set(worlds) - alpha
+
+    def leq(order, x, y):
+        return order[x] <= order[y]
+
+    def layer(order, r):
+        return {w for w in worlds if order[w] == r}
+
+    frontal = {
+        w for w in counter
+        if not layer(before, before[w] - 1) & alpha and not layer(before, before[w] + 1) & counter
+    }
+    out = set()
+    for w1 in worlds:
+        for w2 in worlds:
+            for name, group in (("DR8", alpha), ("DR9", counter)):
+                if w1 in group and w2 in group and leq(before, w1, w2) != leq(after, w1, w2):
+                    out.add((name, w1, w2))
+            if w1 not in counter or w2 not in alpha:
+                continue
+            same_layer = before[w1] == before[w2]
+            if leq(before, w1, w2) and not leq(after, w1, w2):
+                out.add(("DR10", w1, w2))
+            if not leq(before, w2, w1) and leq(after, w2, w1):
+                out.add(("DR11", w1, w2))
+            if w1 in layer(before, before[w2] + 1) and not leq(after, w1, w2):
+                out.add(("DR12", w1, w2))
+            if w2 in layer(before, 0) and not leq(after, w2, w1):
+                out.add(("DR13", w1, w2))
+            if same_layer and w2 not in layer(after, after[w1] + 1):
+                out.add(("DR14", w1, w2))
+            if same_layer and w1 in frontal and after[w1] != after[w2]:
+                out.add(("DR15", w1, w2))
+    return out
+
+
+DR_BITS = {f"DR{8 + i}": 1 << i for i in range(8)}
+
+
+@st.composite
+def order_pairs(draw):
+    n = draw(st.integers(1, 6))
+    vec = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    before = _pykernel.compress_keys(draw(vec))
+    after = _pykernel.compress_keys(draw(vec))
+    return before, after, draw(st.integers(0, (1 << n) - 1)), draw(st.integers(0, 255))
+
+
+class TestDrViolation:
+    @settings(max_examples=400, deadline=None)
+    @given(order_pairs())
+    def test_first_pair_matches_definitions(self, problem):
+        before, after, amask, cmask = problem
+        pairs = {
+            (w1, w2)
+            for name, w1, w2 in naive_violations(before, after, amask)
+            if cmask & DR_BITS[name]
+        }
+        expected = min(pairs) if pairs else None
+        assert _pykernel.dr_violation(before, after, amask, cmask) == expected
+        assert _pykernel.dr_satisfied(before, after, amask, cmask) == (expected is None)
+
+    @pytest.mark.parametrize(
+        "before, after",
+        [
+            ((0, 1), (0,)),  # lengths differ
+            ((0,), (0, 1)),
+            ((), ()),  # empty universe
+            ((0,) * 9, (0,) * 9),  # beyond MAX_UNIVERSE
+        ],
+    )
+    def test_bad_lengths_raise(self, before, after):
+        with pytest.raises(ValueError):
+            _pykernel.dr_violation(before, after, 1, 255)
+        with pytest.raises(ValueError):
+            _pykernel.dr_satisfied(before, after, 1, 255)
+
+    @pytest.mark.parametrize("before", [(), (0,) * 9])
+    def test_successors_reject_bad_universe(self, before):
+        with pytest.raises(ValueError):
+            _pykernel.dr_successors(before, 1, 255)
