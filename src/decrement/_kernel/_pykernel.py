@@ -1,8 +1,7 @@
-"""Pure-Python kernel: hot primitives shared with the compiled backend.
+"""The kernel: hot primitives on rank vectors and world masks.
 
-Both backends must produce bit-identical results; the parity test suite
-enforces this.  Rank vectors are tuples indexed by world, world sets are
-integer bitmasks, operator kinds are the codes 0 (type-1 decrement),
+Rank vectors are tuples indexed by world, world sets are integer
+bitmasks, operator kinds are the codes 0 (type-1 decrement),
 1 (type-2 decrement), 2 (instant contraction).
 
 DR constraint bits for dr_violation and dr_satisfied:
@@ -211,7 +210,7 @@ def dr_satisfied(before, after, amask: int, cmask: int) -> bool:
     return dr_violation(before, after, amask, cmask) is None
 
 
-def dr_successors(before, amask: int, cmask: int, *, all_orders=weak_order_ranks):
+def dr_successors(before, amask: int, cmask: int):
     """The vectors ``after`` with dr_satisfied(before, after, amask, cmask).
 
     They come in weak_order_ranks order.  Every DR condition reads one world
@@ -222,8 +221,8 @@ def dr_successors(before, amask: int, cmask: int, *, all_orders=weak_order_ranks
     weak_order_ranks recursion skips any rank outside the masks of the
     worlds already placed.  Ranks are final once assigned, so it cuts only
     branches that hold no passing vector: the stream is the filtered
-    enumeration, order included.  With no constrained pair the stream is
-    ``all_orders(n)`` unchanged.
+    enumeration, order included.  With no constrained pair the recursion
+    runs without masks.
     """
     n = _check_universe(len(before))
     full = (1 << n) - 1
@@ -246,5 +245,5 @@ def dr_successors(before, amask: int, cmask: int, *, all_orders=weak_order_ranks
         compat.append(rows)
     # a rank mask is full, (1 << n) - 1, when it excludes no rank 0..n-1
     if all(mask == full for rows in compat for row in rows for mask in row):
-        return all_orders(n)
+        return _ordered_ranks(n, None)
     return _ordered_ranks(n, compat)

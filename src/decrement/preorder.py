@@ -23,7 +23,7 @@ class UniverseTooLargeError(ValueError):
     """Raised when an exhaustive routine is asked for more than 8 worlds."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TotalPreorder:
     """Compressed rank function over all worlds of a universe."""
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -303,6 +304,15 @@ class TestVersion:
         assert out.strip() == (
             f"decrement {decrement.__version__} (kernel backend: {decrement.kernel_backend})"
         )
+
+    def test_pyproject_version_is_package_version(self):
+        # pyproject.toml is the one copy of the package metadata
+        tomllib = pytest.importorskip("tomllib")
+        import decrement
+
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+            project = tomllib.load(f)["project"]
+        assert project["version"] == decrement.__version__
 
 
 class TestExitCodeContract:

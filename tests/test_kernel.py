@@ -1,4 +1,4 @@
-"""The pure-Python kernel's DR primitives against independent oracles.
+"""The kernel's DR primitives against independent oracles, and its input checks.
 
 ``dr_successors`` must stream exactly the brute-force filter of
 ``weak_order_ranks`` by ``dr_satisfied``, order included, and
@@ -41,12 +41,6 @@ class TestDrSuccessors:
     def test_random_four_and_five_worlds(self, problem):
         before, amask, cmask = problem
         assert list(_kernel.dr_successors(before, amask, cmask)) == brute_force(*problem)
-
-    def test_unconstrained_streams_all_orders(self):
-        # DR14 with alpha a union of whole layers constrains no pair
-        sentinel = iter([("all", "orders")])
-        out = _pykernel.dr_successors((0, 1, 1, 2), 0b0110, 64, all_orders=lambda n: sentinel)
-        assert list(out) == [("all", "orders")]
 
 
 # --- dr_violation against the definitions -------------------------------------
@@ -148,3 +142,19 @@ class TestDrViolation:
     def test_successors_reject_bad_universe(self, before):
         with pytest.raises(ValueError):
             _pykernel.dr_successors(before, 1, 255)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("n", [0, 9])
+    def test_universe_outside_bounds(self, n):
+        with pytest.raises(ValueError):
+            _kernel.weak_order_ranks(n)
+
+    def test_bad_kind(self):
+        # alpha is believed, so the kind code is read
+        with pytest.raises(ValueError):
+            _kernel.step_ranks((1, 0), 0b10, 9)
+
+    def test_bad_kind_unread_on_identity_branch(self):
+        # alpha is not believed: the step returns the order before reading the kind
+        assert _kernel.step_ranks((1, 0), 0b01, 9) == (1, 0)

@@ -125,7 +125,7 @@ class TestLayersConversion:
         with pytest.raises(ValueError):
             from_layers([0b1100, 0b0110])
 
-    def test_roundtrip_all_orders(self):
+    def test_roundtrip_every_order(self):
         for tpo in enumerate_preorders(4):
             assert from_layers(to_layers(tpo), n_worlds=4) == tpo
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decrement.logic import formula_from_worldset, parse_formula, worldset_from_bits
 from decrement.preorder import enumerate_preorders
@@ -16,6 +18,25 @@ PSI1_DOC = {"atoms": ["a", "b"], "layers": [["11"], ["01"], ["10", "00"]]}
 # Successor columns from the worked example
 AFTER_TYPE2_DOC = {"atoms": ["a", "b"], "layers": [["11", "01"], ["10", "00"]]}
 AFTER_TYPE1_DOC = {"atoms": ["a", "b"], "layers": [["11", "01"], ["00"], ["10"]]}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=16,
+)
+# {"atoms", "layers"} documents close to valid ones, so that the checks
+# after the field lookups run too
+NEAR_STATE_DOCS = st.fixed_dictionaries(
+    {
+        "atoms": st.lists(st.sampled_from(["a", "b", "c", "true", "A"]), max_size=4)
+        | JSON_VALUES,
+        "layers": st.lists(
+            st.lists(st.text(alphabet="01", max_size=3) | JSON_VALUES, max_size=4), max_size=5
+        )
+        | JSON_VALUES,
+    }
+)
 
 
 class TestBeliefModels:
@@ -119,6 +140,14 @@ class TestStateDocs:
     def test_malformed_docs(self, doc):
         with pytest.raises(StateFormatError):
             state_from_doc(doc)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(JSON_VALUES, NEAR_STATE_DOCS))
+    def test_fuzzed_docs_raise_only_state_format_error(self, doc):
+        try:
+            state_from_doc(doc)
+        except StateFormatError:
+            pass
 
     def test_mismatched_order_size(self, sig2):
         from decrement.preorder import TotalPreorder
