@@ -19,8 +19,14 @@ KIND_INSTANT = 2
 MAX_UNIVERSE = 8
 
 
+class UniverseTooLargeError(ValueError):
+    """Raised when an exhaustive routine is asked for more than 8 worlds."""
+
+
 def _check_universe(n: int) -> int:
-    if not 1 <= n <= MAX_UNIVERSE:
+    if n > MAX_UNIVERSE:
+        raise UniverseTooLargeError(f"universe of {n} worlds exceeds the limit of {MAX_UNIVERSE}")
+    if n < 1:
         raise ValueError(f"universe size {n} outside 1..{MAX_UNIVERSE}")
     return n
 
@@ -78,6 +84,36 @@ def compress_keys(keys) -> tuple:
     return tuple(order[k] for k in keys)
 
 
+def bel_mask(ranks) -> int:
+    """Mask of the rank-0 worlds: the belief models."""
+    mask = 0
+    for w, r in enumerate(ranks):
+        if r == 0:
+            mask |= 1 << w
+    return mask
+
+
+def min_rank_mask(ranks, smask: int) -> int:
+    """Mask of the lowest-ranked worlds of the set smask; 0 when it is empty."""
+    best = None
+    out = 0
+    for w, r in enumerate(ranks):
+        if (smask >> w) & 1:
+            if best is None or r < best:
+                best, out = r, 1 << w
+            elif r == best:
+                out |= 1 << w
+    return out
+
+
+def layer_masks(ranks) -> list[int]:
+    """World-set mask of each layer of a compressed vector, rank 0 first."""
+    masks = [0] * (max(ranks) + 1)
+    for w, r in enumerate(ranks):
+        masks[r] |= 1 << w
+    return masks
+
+
 def frontal_bits(ranks, amask: int) -> int:
     """Mask of counter-worlds of alpha that are frontal in the order.
 
@@ -124,21 +160,13 @@ def step_ranks(ranks, amask: int, kind: int) -> tuple:
     full = (1 << n) - 1
     amask &= full
     ranks = tuple(ranks)
-    bel = 0
-    for w in range(n):
-        if ranks[w] == 0:
-            bel |= 1 << w
+    bel = bel_mask(ranks)
     if amask == full:
         return ranks
     if bel & ~amask:
         return ranks
     if kind == KIND_INSTANT:
-        namask = full & ~amask
-        min_rank = min(ranks[w] for w in range(n) if (namask >> w) & 1)
-        promoted = bel
-        for w in range(n):
-            if (namask >> w) & 1 and ranks[w] == min_rank:
-                promoted |= 1 << w
+        promoted = bel | min_rank_mask(ranks, full & ~amask)
         keys = [0 if (promoted >> w) & 1 else ranks[w] + 1 for w in range(n)]
         return compress_keys(keys)
     if kind not in (KIND_TYPE1, KIND_TYPE2):

@@ -42,6 +42,7 @@ from itertools import islice
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from decrement import _kernel
+from decrement._kernel import bel_mask, min_rank_mask
 from decrement.logic import (
     Formula,
     Not,
@@ -50,14 +51,10 @@ from decrement.logic import (
     iter_worlds,
     models,
     world_to_bits,
-    worldset_from_bits,
     worldset_to_bits,
-    world_from_bits,
 )
 from decrement.operators import (
     OperatorKind,
-    _bel_mask,
-    _min_rank_mask,
     achieve_bel,
     achieve_ranks,
     giveup_leq_masks,
@@ -67,8 +64,14 @@ from decrement.operators import (
     step_ranks,
     NotPreorderError,
 )
-from decrement.preorder import TotalPreorder, UniverseTooLargeError, from_layers, to_layers
-from decrement.state import EpistemicState, StateFormatError
+from decrement.preorder import TotalPreorder
+from decrement.state import (
+    EpistemicState,
+    StateFormatError,
+    layers_to_bits,
+    mask_from_bits,
+    order_from_bits,
+)
 
 COUNTEREXAMPLE_CAP = 5
 
@@ -122,6 +125,15 @@ class PostulateId(enum.Enum):
     IC3 = "IC3"
     IC4 = "IC4"
 
+    @classmethod
+    def _missing_(cls, value):
+        # ids are matched case-insensitively: "dr12" is DR12
+        if isinstance(value, str):
+            for member in cls:
+                if member.value.lower() == value.lower():
+                    return member
+        return None
+
 
 ALL_POSTULATES: tuple[PostulateId, ...] = tuple(PostulateId)
 
@@ -135,8 +147,6 @@ _WEAK_ORDER_COUNTS = (1, 1, 3, 13, 75, 541, 4683, 47293, 545835)
 
 @dataclass(frozen=True)
 class Exhaustive:
-    kind: str = field(default="exhaustive", init=False)
-
     def describe(self, n_atoms: int) -> str:
         return f"exhaustive |Σ|={n_atoms}"
 
@@ -145,8 +155,6 @@ class Exhaustive:
 class Sample:
     seed: int
     count: int
-
-    kind: str = field(default="sample", init=False)
 
     def describe(self, n_atoms: int) -> str:
         return f"sample(seed={self.seed},count={self.count}) |Σ|={n_atoms}"
@@ -243,12 +251,12 @@ def _pair_result(pair: tuple[int, int] | None) -> tuple[bool, dict[str, int]]:
 
 
 def _achieve_keeps_beliefs(ranks, code, a):
-    return _subset(_bel_mask(ranks), achieve_bel(ranks, a, code)), {}
+    return _subset(bel_mask(ranks), achieve_bel(ranks, a, code)), {}
 
 
 def _vacuity(ranks, code, a):
     """Achieving the drop of an unbelieved alpha adds no belief model."""
-    bel = _bel_mask(ranks)
+    bel = bel_mask(ranks)
     return not bel & ~a or _subset(achieve_bel(ranks, a, code), bel), {}
 
 
@@ -257,7 +265,7 @@ def _success(ranks, code, a):
 
 
 def _new_models_are_counter_worlds(ranks, code, a):
-    return _subset(achieve_bel(ranks, a, code) & a, _bel_mask(ranks)), {}
+    return _subset(achieve_bel(ranks, a, code) & a, bel_mask(ranks)), {}
 
 
 def _extensional(ranks, code, a):
@@ -281,7 +289,7 @@ def _drops_within_layer_bound(ranks, code, a):
         return True, {}
     cur = ranks
     for _ in range(max(ranks) + 2):
-        if _bel_mask(cur) & ~a:
+        if bel_mask(cur) & ~a:
             return True, {}
         cur = step_ranks(cur, a, code)
     return False, {}
@@ -296,8 +304,8 @@ def _syntax_independent(ranks, code, a1, a2, *, whole_order: bool):
     firsts = [step_ranks(ranks, m1, code) for m1 in _rep_models(a1, n)]
     seconds = [step_ranks(r, m2, code) for r in firsts for m2 in _rep_models(a2, n)]
     if not whole_order:
-        firsts = [_bel_mask(r) for r in firsts]
-        seconds = [_bel_mask(r) for r in seconds]
+        firsts = [bel_mask(r) for r in firsts]
+        seconds = [bel_mask(r) for r in seconds]
     return len(set(firsts)) == 1 and len(set(seconds)) == 1, {}
 
 
@@ -327,7 +335,7 @@ def _step_keeps_giveup_successor(ranks, code, a, b, g):
 
 
 def _step_keeps_beliefs(ranks, code, a):
-    return _subset(_bel_mask(ranks), _bel_mask(step_ranks(ranks, a, code))), {}
+    return _subset(bel_mask(ranks), bel_mask(step_ranks(ranks, a, code))), {}
 
 
 def _pairwise(ranks, code, a, *, dr: int, achieved: bool = False):
@@ -340,7 +348,7 @@ def _pairwise(ranks, code, a, *, dr: int, achieved: bool = False):
 
 def _faithful(ranks, code, *, strict: bool):
     """Belief worlds are tied; with ``strict``, strictly below all others."""
-    for w1 in iter_worlds(_bel_mask(ranks)):
+    for w1 in iter_worlds(bel_mask(ranks)):
         for w2, r2 in enumerate(ranks):
             if strict:
                 bad = r2 != 0 and not ranks[w1] < r2
@@ -358,26 +366,26 @@ def _decrement_success(ranks, code, a):
         return nsteps == 0 and final == ranks, {}
     cur = ranks
     for _ in range(nsteps):
-        if _bel_mask(cur) & ~a:
+        if bel_mask(cur) & ~a:
             return False, {}
         cur = step_ranks(cur, a, code)
-    if not _bel_mask(final) & ~a:
+    if not bel_mask(final) & ~a:
         return False, {}
-    expected = _bel_mask(ranks) | _min_rank_mask(ranks, full & ~a)
-    return _bel_mask(final) == expected, {}
+    expected = bel_mask(ranks) | min_rank_mask(ranks, full & ~a)
+    return bel_mask(final) == expected, {}
 
 
 def _partial_success(ranks, code, a):
-    bel = _bel_mask(ranks)
-    after = _bel_mask(step_ranks(ranks, a, code))
-    upper = bel | _min_rank_mask(ranks, ((1 << len(ranks)) - 1) & ~a)
+    bel = bel_mask(ranks)
+    after = bel_mask(step_ranks(ranks, a, code))
+    upper = bel | min_rank_mask(ranks, ((1 << len(ranks)) - 1) & ~a)
     return _subset(bel, after) and _subset(after, upper), {}
 
 
 def _contract_world(ranks, code, w):
     """Achieving the drop of "not w" adds exactly w to the belief models."""
     got = achieve_bel(ranks, ((1 << len(ranks)) - 1) & ~(1 << w), code)
-    return got == _bel_mask(ranks) | (1 << w), {}
+    return got == bel_mask(ranks) | (1 << w), {}
 
 
 def _giveup_successor_is_adjacent(ranks, code, g, b):
@@ -385,8 +393,8 @@ def _giveup_successor_is_adjacent(ranks, code, g, b):
     if not giveup_lt_masks(ranks, g, b, code):
         return True, {}
     full = (1 << len(ranks)) - 1
-    minb = _min_rank_mask(ranks, full & ~b)
-    ming = _min_rank_mask(ranks, full & ~g)
+    minb = min_rank_mask(ranks, full & ~b)
+    ming = min_rank_mask(ranks, full & ~g)
     rhs = all(
         ranks[w2] in (ranks[w1], ranks[w1] - 1)
         for w1 in iter_worlds(minb)
@@ -430,42 +438,52 @@ REGISTRY: dict[PostulateId, Postulate] = {
     PostulateId.C2: Postulate(_vacuity, _ALPHA),
     PostulateId.C3: Postulate(_success, _ALPHA),
     PostulateId.C4: Postulate(_new_models_are_counter_worlds, _ALPHA),
-    PostulateId.C5: Postulate(_extensional, _ALPHA, max_atoms=2),
-    PostulateId.C6: Postulate(_conjunctive_overlap, _ALPHA_BETA, _AB, max_atoms=2),
-    PostulateId.C7: Postulate(_conjunctive_inclusion, _ALPHA_BETA, _AB, max_atoms=2),
+    PostulateId.C5: Postulate(_extensional, _ALPHA, max_atoms=CHECKER_MAX_ATOMS_MULTIFORMULA),
+    PostulateId.C6: Postulate(
+        _conjunctive_overlap, _ALPHA_BETA, _AB, max_atoms=CHECKER_MAX_ATOMS_MULTIFORMULA
+    ),
+    PostulateId.C7: Postulate(
+        _conjunctive_inclusion, _ALPHA_BETA, _AB, max_atoms=CHECKER_MAX_ATOMS_MULTIFORMULA
+    ),
     PostulateId.D1: Postulate(_achieve_keeps_beliefs, _ALPHA),
     PostulateId.D2: Postulate(_vacuity, _ALPHA),
     PostulateId.D3: Postulate(_drops_within_layer_bound, _ALPHA),
     PostulateId.D4: Postulate(_new_models_are_counter_worlds, _ALPHA),
     PostulateId.D5: Postulate(
-        partial(_syntax_independent, whole_order=False), _REPRESENTATIVES, _A12, max_atoms=2
+        partial(_syntax_independent, whole_order=False), _REPRESENTATIVES, _A12,
+        max_atoms=CHECKER_MAX_ATOMS_MULTIFORMULA,
     ),
-    PostulateId.D6: Postulate(_conjunctive_overlap, _ALPHA_BETA, _AB, max_atoms=2),
-    PostulateId.D7: Postulate(_conjunctive_inclusion, _ALPHA_BETA, _AB, max_atoms=2),
+    PostulateId.D6: Postulate(
+        _conjunctive_overlap, _ALPHA_BETA, _AB, max_atoms=CHECKER_MAX_ATOMS_MULTIFORMULA
+    ),
+    PostulateId.D7: Postulate(
+        _conjunctive_inclusion, _ALPHA_BETA, _AB, max_atoms=CHECKER_MAX_ATOMS_MULTIFORMULA
+    ),
     PostulateId.D8: Postulate(
         partial(_achieve_agrees_after_step, on_alpha=True),
         "states x (alpha, beta) with not-alpha entailing beta",
-        _AB, above={"beta": "~alpha"}, max_atoms=2,
+        _AB, above={"beta": "~alpha"}, max_atoms=CHECKER_MAX_ATOMS_MULTIFORMULA,
     ),
     PostulateId.D9: Postulate(
         partial(_achieve_agrees_after_step, on_alpha=False),
         "states x (alpha, beta) with alpha entailing beta",
-        _AB, above={"beta": "alpha"}, max_atoms=2,
+        _AB, above={"beta": "alpha"}, max_atoms=CHECKER_MAX_ATOMS_MULTIFORMULA,
     ),
     PostulateId.D10: Postulate(
         partial(_entailment_transfer, forward=False),
         "states x (alpha, beta, gamma) with alpha entailing gamma",
-        _ABG, above={"gamma": "alpha"}, max_atoms=2,
+        _ABG, above={"gamma": "alpha"}, max_atoms=CHECKER_MAX_ATOMS_MULTIFORMULA,
     ),
     PostulateId.D11: Postulate(
         partial(_entailment_transfer, forward=True),
         "states x (alpha, beta, gamma) with not-alpha entailing gamma",
-        _ABG, above={"gamma": "~alpha"}, max_atoms=2,
+        _ABG, above={"gamma": "~alpha"}, max_atoms=CHECKER_MAX_ATOMS_MULTIFORMULA,
     ),
     PostulateId.D12: Postulate(
         _step_keeps_giveup_successor,
         "states x (alpha, beta, gamma) with alpha |= beta, not-alpha |= gamma",
-        _ABG, above={"beta": "alpha", "gamma": "~alpha"}, max_atoms=2,
+        _ABG, above={"beta": "alpha", "gamma": "~alpha"},
+        max_atoms=CHECKER_MAX_ATOMS_MULTIFORMULA,
     ),
     PostulateId.D13: Postulate(_step_keeps_beliefs, _ALPHA),
     PostulateId.DR8: Postulate(partial(_pairwise, dr=8), _BELIEVED, above=_IF_BELIEVED),
@@ -479,7 +497,8 @@ REGISTRY: dict[PostulateId, Postulate] = {
     PostulateId.SFA1: Postulate(partial(_faithful, strict=False), "all states", ()),
     PostulateId.SFA2: Postulate(partial(_faithful, strict=True), "all states", ()),
     PostulateId.SFA3: Postulate(
-        partial(_syntax_independent, whole_order=True), _REPRESENTATIVES, _A12, max_atoms=2
+        partial(_syntax_independent, whole_order=True), _REPRESENTATIVES, _A12,
+        max_atoms=CHECKER_MAX_ATOMS_MULTIFORMULA,
     ),
     PostulateId.HESITANCE: Postulate(_drops_within_layer_bound, _ALPHA),
     PostulateId.DECREMENT_SUCCESS: Postulate(_decrement_success, _ALPHA),
@@ -488,7 +507,7 @@ REGISTRY: dict[PostulateId, Postulate] = {
     PostulateId.LEMMA3: Postulate(
         _giveup_successor_is_adjacent,
         "states x (gamma, beta) classes",
-        ("gamma", "beta"), max_atoms=2,
+        ("gamma", "beta"), max_atoms=CHECKER_MAX_ATOMS_MULTIFORMULA,
     ),
     PostulateId.IC1: Postulate(partial(_pairwise, dr=8, achieved=True), _ALPHA),
     PostulateId.IC2: Postulate(partial(_pairwise, dr=9, achieved=True), _ALPHA),
@@ -533,7 +552,7 @@ def _assignments(pid: PostulateId, n_worlds: int, bel: int) -> tuple[tuple[int, 
 def _inner_cases(pid: PostulateId, ranks: tuple) -> tuple[tuple[int, ...], ...]:
     """Variable values for one state, exhaustive and in a fixed order."""
     reads_bel = "bel" in REGISTRY[pid].above.values()
-    return _assignments(pid, len(ranks), _bel_mask(ranks) if reads_bel else 0)
+    return _assignments(pid, len(ranks), bel_mask(ranks) if reads_bel else 0)
 
 
 def _sample_case(pid: PostulateId, rng: random.Random, n_worlds: int) -> tuple[tuple, tuple]:
@@ -541,7 +560,7 @@ def _sample_case(pid: PostulateId, rng: random.Random, n_worlds: int) -> tuple[t
     rec = REGISTRY[pid]
     full = (1 << n_worlds) - 1
     ranks = _kernel.compress_keys([rng.randrange(n_worlds) for _ in range(n_worlds)])
-    bel = _bel_mask(ranks)
+    bel = bel_mask(ranks)
     values: tuple[int, ...] = ()
     for var in rec.variables:
         if var == "omega":
@@ -560,15 +579,15 @@ def _counterexample(
     worlds: dict[str, int],
     n_atoms: int,
 ) -> tuple[tuple, dict]:
-    layers = [tuple(worldset_to_bits(m, n_atoms)) for m in to_layers(TotalPreorder(ranks))]
+    layers = layers_to_bits(ranks, n_atoms)
     doc = {
-        "state": [list(layer) for layer in layers],
+        "state": layers,
         "formulas": {k: worldset_to_bits(v, n_atoms) for k, v in sorted(formulas.items())},
         "worlds": {k: world_to_bits(v, n_atoms) for k, v in sorted(worlds.items())},
     }
     key = (
         len(layers),
-        tuple(layers),
+        tuple(map(tuple, layers)),
         tuple(sorted(formulas.items())),
         tuple(sorted(worlds.items())),
     )
@@ -634,21 +653,6 @@ def _validate_domain(pid: PostulateId, sig: Signature, mode: Mode) -> None:
         )
 
 
-def _coerce_postulate(p: Union[PostulateId, str]) -> PostulateId:
-    if isinstance(p, PostulateId):
-        return p
-    for member in PostulateId:
-        if member.value.lower() == str(p).lower():
-            return member
-    raise ValueError(f"unknown postulate {p!r}")
-
-
-def _coerce_kind(k: Union[OperatorKind, str]) -> OperatorKind:
-    if isinstance(k, OperatorKind):
-        return k
-    return OperatorKind(str(k))
-
-
 def check_postulate(
     kind: Union[OperatorKind, str],
     postulate: Union[PostulateId, str],
@@ -665,8 +669,8 @@ def check_postulate(
     worker count.  At most one process per usable CPU is started, whatever
     ``workers`` asks for.
     """
-    kind = _coerce_kind(kind)
-    pid = _coerce_postulate(postulate)
+    kind = OperatorKind(kind)
+    pid = PostulateId(postulate)
     _validate_domain(pid, sig, mode)
     n_atoms = sig.n_atoms
 
@@ -735,11 +739,7 @@ def _map_parallel(chunks: list[tuple]) -> list[tuple[int, list]]:
     with concurrent.futures.ProcessPoolExecutor(
         max_workers=len(chunks), mp_context=ctx
     ) as pool:
-        return list(pool.map(_run_chunk_star, chunks))
-
-
-def _run_chunk_star(args):
-    return _run_chunk(*args)
+        return list(pool.map(_run_chunk, *zip(*chunks)))
 
 
 def conformance_matrix(
@@ -750,11 +750,11 @@ def conformance_matrix(
     workers: int = 1,
 ) -> ConformanceMatrix:
     """One CheckReport per (kind, postulate), in the requested order."""
-    kind_list = [_coerce_kind(k) for k in kinds]
+    kind_list = [OperatorKind(k) for k in kinds]
     if isinstance(postulates, str) and postulates == "all":
         pid_list = list(ALL_POSTULATES)
     else:
-        pid_list = [_coerce_postulate(p) for p in postulates]
+        pid_list = [PostulateId(p) for p in postulates]
     reports = [
         check_postulate(kind, pid, sig, mode, workers=workers)
         for kind in kind_list
@@ -784,14 +784,9 @@ def successor_satisfiability(
     compatible orders are built (``_kernel.dr_successors``), listed in
     lexicographic rank-vector order.
     """
-    n = state.sig.n_worlds
-    if n > _kernel.MAX_UNIVERSE:
-        raise UniverseTooLargeError(
-            f"successor search limited to {_kernel.MAX_UNIVERSE} worlds, got {n}"
-        )
     cmask = 0
     for c in constraints:
-        pid = _coerce_postulate(c)
+        pid = PostulateId(c)
         if pid not in _DR_BITS:
             raise ValueError(f"constraint must be one of DR8..DR15, got {pid.value}")
         cmask |= _DR_BITS[pid]
@@ -811,7 +806,7 @@ def verify_representation(kind: Union[OperatorKind, str], sig: Signature) -> Che
     order, (iv) every believed step satisfies DR8..DR13 with respect to the
     induced orders of the state and its successor.
     """
-    kind = _coerce_kind(kind)
+    kind = OperatorKind(kind)
     n_atoms = sig.n_atoms
     if n_atoms > CHECKER_MAX_ATOMS_MULTIFORMULA:
         raise DomainTooLargeError(
@@ -830,26 +825,19 @@ def verify_representation(kind: Union[OperatorKind, str], sig: Signature) -> Che
 
     for ranks in _kernel.weak_order_ranks(n):
         cases += 1
-        bel = _bel_mask(ranks)
+        bel = bel_mask(ranks)
         try:
             ind = induced_ranks(ranks, code)
         except NotPreorderError as exc:
             record(ranks, {}, {}, f"(i) {exc}")
             continue
-        faithful = True
-        for w1 in range(n):
-            for w2 in range(n):
-                if (bel >> w1) & 1 and (bel >> w2) & 1 and ind[w1] != ind[w2]:
-                    faithful = False
-                if (bel >> w1) & 1 and not (bel >> w2) & 1 and not ind[w1] < ind[w2]:
-                    faithful = False
-        if not faithful:
+        if bel_mask(ind) != bel:  # ind is compressed: faithful iff bel is its rank-0 layer
             record(ranks, {}, {}, "(ii) induced order not faithful")
             continue
         for a in range(full + 1):
             if a == full:
                 continue
-            expected = bel | _min_rank_mask(ind, full & ~a)
+            expected = bel | min_rank_mask(ind, full & ~a)
             if achieve_bel(ranks, a, code) != expected:
                 record(ranks, {"alpha": a}, {}, "(iii) contraction semantics mismatch")
         for a in range(full + 1):
@@ -883,31 +871,35 @@ def replay_counterexample(
 ) -> bool:
     """Re-evaluate a reported counterexample; True iff it still violates.
 
-    Raises StateFormatError when the state's layers do not partition the
-    worlds of one signature, and DomainTooLargeError when its bitstrings
-    are longer than CHECKER_MAX_ATOMS.
+    Raises StateFormatError for a malformed document, state, formula or
+    world (a missing field, a bad bitstring, a wrong bit length, layers that
+    do not partition the worlds, a missing variable), and
+    DomainTooLargeError when its bitstrings are longer than
+    CHECKER_MAX_ATOMS; no evaluator runs in either case.
     """
-    kind = _coerce_kind(kind)
-    pid = _coerce_postulate(postulate)
-    layers = counterexample["state"]
-    bits = [b for layer in layers for b in layer]
-    if not bits:
-        raise StateFormatError("counterexample state has no worlds")
-    n_atoms = len(bits[0])
-    if any(len(b) != n_atoms for b in bits):
-        raise StateFormatError("counterexample worlds differ in length")
+    kind = OperatorKind(kind)
+    pid = PostulateId(postulate)
+    try:
+        layers = counterexample["state"]
+        formulas = counterexample["formulas"].items()
+        worlds = counterexample["worlds"].items()
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise StateFormatError(f"counterexample needs state, formulas and worlds: {exc}") from None
+    try:
+        n_atoms = len(layers[0][0])
+    except (IndexError, KeyError, TypeError):
+        raise StateFormatError("counterexample state must start with a nonempty layer") from None
     if n_atoms > CHECKER_MAX_ATOMS:
         raise DomainTooLargeError(
             f"counterexample over {n_atoms} atoms; checker limited to |Σ| <= {CHECKER_MAX_ATOMS}"
         )
-    try:
-        masks = [worldset_from_bits(layer) for layer in layers]
-        ranks = from_layers(masks, 1 << n_atoms).ranks
-    except ValueError as exc:
-        raise StateFormatError(f"counterexample state: {exc}") from None
-    formulas = {k: worldset_from_bits(v) for k, v in counterexample["formulas"].items()}
-    worlds = {k: world_from_bits(v) for k, v in counterexample["worlds"].items()}
+    ranks = order_from_bits(layers, n_atoms).ranks
+    values = {k: mask_from_bits(v, n_atoms, f"formula {k}") for k, v in formulas}
+    for k, v in worlds:
+        values[k] = mask_from_bits([v], n_atoms, f"world {k}").bit_length() - 1
     rec = REGISTRY[pid]
-    values = [worlds[v] if v == "omega" else formulas[v] for v in rec.variables]
-    ok, _ = rec.evaluate(ranks, kind.code, *values)
+    missing = [v for v in rec.variables if v not in values]
+    if missing:
+        raise StateFormatError(f"counterexample has no value for {', '.join(missing)}")
+    ok, _ = rec.evaluate(ranks, kind.code, *(values[v] for v in rec.variables))
     return not ok

@@ -27,7 +27,13 @@ from decrement.checker import (
 from decrement.logic import FormulaError, Signature, parse_formula
 from decrement.operators import OperatorKind, achieve, iterate
 from decrement.preorder import UniverseTooLargeError, enumerate_preorders
-from decrement.state import EpistemicState, StateFormatError, state_from_doc, state_to_doc
+from decrement.state import (
+    EpistemicState,
+    StateFormatError,
+    layers_to_bits,
+    state_from_doc,
+    state_to_doc,
+)
 
 DEFAULT_SEED = 0
 DEFAULT_SAMPLE_COUNT = 1000
@@ -95,14 +101,10 @@ def _postulate_list(spec: str) -> list[PostulateId]:
         token = token.strip()
         if not token:
             continue
-        match = None
-        for pid in PostulateId:
-            if pid.value.lower() == token.lower():
-                match = pid
-                break
-        if match is None:
-            raise CliError(f"unknown postulate {token!r}")
-        out.append(match)
+        try:
+            out.append(PostulateId(token))
+        except ValueError:
+            raise CliError(f"unknown postulate {token!r}") from None
     if not out:
         raise CliError("empty postulate list")
     return out
@@ -208,19 +210,12 @@ def cmd_sat(args) -> int:
         raise CliError("empty constraint list")
     try:
         successors = successor_satisfiability(state, alpha, constraints)
-    except UniverseTooLargeError as exc:
-        raise CliError(str(exc)) from None
-    except ValueError as exc:
+    except ValueError as exc:  # not a DR8..DR15 id, or more than 8 worlds
         raise CliError(str(exc)) from None
     print(f"count: {len(successors)}")
-    shown = successors[: args.limit]
-    n = state.sig.n_atoms
-    from decrement.logic import worldset_to_bits
-    from decrement.preorder import to_layers
-
     docs = []
-    for i, tpo in enumerate(shown):
-        layers = [worldset_to_bits(m, n) for m in to_layers(tpo)]
+    for i, tpo in enumerate(successors[: args.limit]):
+        layers = layers_to_bits(tpo.ranks, state.sig.n_atoms)
         docs.append(layers)
         print(f"successor {i}:")
         print(_render_layers(layers))
@@ -230,16 +225,10 @@ def cmd_sat(args) -> int:
 
 def cmd_enumerate(args) -> int:
     sig = _signature_for_atoms(args.atoms)
-    from decrement.preorder import MAX_UNIVERSE
-
-    if sig.n_worlds > MAX_UNIVERSE:
-        raise CliError(
-            f"cannot enumerate preorders over {sig.n_worlds} worlds (limit {MAX_UNIVERSE})"
-        )
-    stream = enumerate_preorders(sig.n_worlds)
-    from decrement.logic import worldset_to_bits
-    from decrement.preorder import to_layers
-
+    try:
+        stream = enumerate_preorders(sig.n_worlds)
+    except UniverseTooLargeError as exc:
+        raise CliError(str(exc)) from None
     if args.count:
         total = sum(1 for _ in stream)
         print(total)
@@ -248,8 +237,7 @@ def cmd_enumerate(args) -> int:
     for tpo in stream:
         if args.limit is not None and emitted >= args.limit:
             break
-        layers = [worldset_to_bits(m, sig.n_atoms) for m in to_layers(tpo)]
-        print(json.dumps(layers))
+        print(json.dumps(layers_to_bits(tpo.ranks, sig.n_atoms)))
         emitted += 1
     return 0
 

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from decrement import _kernel
-from decrement.logic import Formula, iter_worlds, models
+from decrement._kernel import bel_mask as _bel_mask  # a global: achieve_bel calls it per case
+from decrement.logic import Formula, models
 from decrement.preorder import TotalPreorder, min_of
 from decrement.state import EpistemicState, belief_models, believes
 
@@ -107,28 +108,6 @@ def achieve_ranks(ranks: tuple, amask: int, code: int) -> tuple[tuple, int]:
     raise HesitanceViolationError(
         f"belief not dropped within {bound} steps (kind code {code})"
     )
-
-
-def _bel_mask(ranks: tuple) -> int:
-    mask = 0
-    for w, r in enumerate(ranks):
-        if r == 0:
-            mask |= 1 << w
-    return mask
-
-
-def _min_rank_mask(ranks: tuple, smask: int) -> int:
-    best = None
-    for w in iter_worlds(smask):
-        if best is None or ranks[w] < best:
-            best = ranks[w]
-    if best is None:
-        return 0
-    out = 0
-    for w in iter_worlds(smask):
-        if ranks[w] == best:
-            out |= 1 << w
-    return out
 
 
 def achieve_bel(ranks: tuple, amask: int, code: int) -> int:

@@ -14,13 +14,8 @@ from numbers import Rational
 from typing import Iterator, Mapping, Sequence
 
 from decrement import _kernel
+from decrement._kernel import MAX_UNIVERSE, UniverseTooLargeError  # re-exported
 from decrement.logic import iter_worlds
-
-MAX_UNIVERSE = _kernel.MAX_UNIVERSE
-
-
-class UniverseTooLargeError(ValueError):
-    """Raised when an exhaustive routine is asked for more than 8 worlds."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,7 +55,7 @@ class TotalPreorder:
 
     @property
     def layer0(self) -> int:
-        return self.layer(0)
+        return _kernel.bel_mask(self.ranks)
 
 
 def leq(w1: int, w2: int, tpo: TotalPreorder) -> bool:
@@ -88,23 +83,12 @@ def direct_successor(w1: int, w2: int, tpo: TotalPreorder) -> bool:
 
 def min_of(s: int, tpo: TotalPreorder) -> int:
     """Lowest-layer members of a world set; empty for the empty set."""
-    best = None
-    for w in iter_worlds(s):
-        r = tpo.ranks[w]
-        if best is None or r < best:
-            best = r
-    if best is None:
-        return 0
-    mask = 0
-    for w in iter_worlds(s):
-        if tpo.ranks[w] == best:
-            mask |= 1 << w
-    return mask
+    return _kernel.min_rank_mask(tpo.ranks, s)
 
 
 def to_layers(tpo: TotalPreorder) -> list[int]:
     """Layer masks from bottom (rank 0) upward."""
-    return [tpo.layer(i) for i in range(tpo.n_layers)]
+    return _kernel.layer_masks(tpo.ranks)
 
 
 def from_layers(layers: Sequence[int], n_worlds: int | None = None) -> TotalPreorder:
@@ -157,11 +141,7 @@ def enumerate_preorders(n_worlds: int) -> Iterator[TotalPreorder]:
     """Every total preorder on the universe, exactly once, in a fixed order.
 
     The stream is ordered lexicographically by rank vector and is
-    restartable; universes beyond 8 worlds are refused.
+    restartable; universes beyond 8 worlds are refused when it is created
+    (UniverseTooLargeError).
     """
-    if n_worlds > MAX_UNIVERSE:
-        raise UniverseTooLargeError(
-            f"cannot enumerate preorders over {n_worlds} worlds (limit {MAX_UNIVERSE})"
-        )
-    for ranks in _kernel.weak_order_ranks(n_worlds):
-        yield TotalPreorder(ranks)
+    return map(TotalPreorder, _kernel.weak_order_ranks(n_worlds))

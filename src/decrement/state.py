@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from decrement._kernel import layer_masks
 from decrement.logic import (
     Formula,
     Signature,
@@ -19,7 +20,7 @@ from decrement.logic import (
     worldset_from_bits,
     worldset_to_bits,
 )
-from decrement.preorder import TotalPreorder, from_layers, to_layers
+from decrement.preorder import TotalPreorder, from_layers
 
 
 class StateFormatError(ValueError):
@@ -59,14 +60,51 @@ def bel_equiv_wrt(s1: EpistemicState, s2: EpistemicState, alpha: Formula) -> boo
     return equiv_wrt(belief_models(s1), belief_models(s2), alpha, s1.sig)
 
 
-# --- layers document (the state file format) --------------------------------
+# --- layers document: state files, counterexamples, successor listings -----
+#
+# A preorder is written as its layers, rank 0 first, each a list of world
+# bitstrings in atom order; these three functions are the only codec.
+
+def layers_to_bits(ranks, n_atoms: int) -> list[list[str]]:
+    """The layer document of a compressed rank vector."""
+    return [worldset_to_bits(m, n_atoms) for m in layer_masks(ranks)]
+
+
+def mask_from_bits(bits, n_atoms: int, where: str) -> int:
+    """Decode one world set: a list of bitstrings of ``n_atoms`` bits each.
+
+    ``where`` names the set in the StateFormatError raised for bad input.
+    """
+    if not isinstance(bits, list):
+        raise StateFormatError(f"{where}: expected a list of world bitstrings")
+    for b in bits:
+        if not isinstance(b, str) or len(b) != n_atoms:
+            raise StateFormatError(f"{where}: world {b!r} is not a bitstring of {n_atoms} bits")
+    try:
+        mask = worldset_from_bits(bits)
+    except ValueError as exc:
+        raise StateFormatError(f"{where}: {exc}") from None
+    if mask.bit_count() != len(bits):
+        raise StateFormatError(f"{where}: a world is listed twice")
+    return mask
+
+
+def order_from_bits(layers, n_atoms: int) -> TotalPreorder:
+    """Decode a layer document; the layers must partition all 2**n_atoms worlds."""
+    if not isinstance(layers, list):
+        raise StateFormatError("layers must be a list of lists of bitstrings")
+    masks = [mask_from_bits(layer, n_atoms, f"layer {i}") for i, layer in enumerate(layers)]
+    try:
+        return from_layers(masks, n_worlds=1 << n_atoms)
+    except ValueError as exc:
+        raise StateFormatError(str(exc)) from None
+
 
 def state_to_doc(state: EpistemicState) -> dict:
     """JSON-ready document: atoms plus layers of world bitstrings, rank 0 first."""
-    n = state.sig.n_atoms
     return {
         "atoms": list(state.sig.atoms),
-        "layers": [worldset_to_bits(layer, n) for layer in to_layers(state.order)],
+        "layers": layers_to_bits(state.order.ranks, state.sig.n_atoms),
     }
 
 
@@ -82,23 +120,4 @@ def state_from_doc(doc: dict) -> EpistemicState:
         sig = Signature(atoms)
     except (ValueError, TypeError) as exc:
         raise StateFormatError(f"bad atoms: {exc}") from None
-    if not isinstance(layers, list) or not all(isinstance(l, list) for l in layers):
-        raise StateFormatError("layers must be a list of lists of bitstrings")
-    masks = []
-    for i, layer in enumerate(layers):
-        try:
-            mask = worldset_from_bits(layer)
-        except (ValueError, TypeError) as exc:
-            raise StateFormatError(f"layer {i}: {exc}") from None
-        for bits in layer:
-            if len(bits) != sig.n_atoms:
-                raise StateFormatError(
-                    f"layer {i}: world {bits!r} has {len(bits)} bits, "
-                    f"signature has {sig.n_atoms} atoms"
-                )
-        masks.append(mask)
-    try:
-        order = from_layers(masks, n_worlds=sig.n_worlds)
-    except ValueError as exc:
-        raise StateFormatError(str(exc)) from None
-    return EpistemicState(sig, order)
+    return EpistemicState(sig, order_from_bits(layers, sig.n_atoms))

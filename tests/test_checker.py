@@ -422,6 +422,41 @@ class TestReplaySoundness:
         with pytest.raises(StateFormatError):
             replay_counterexample(IN, PostulateId.DR12, ce)
 
+    @pytest.mark.parametrize(
+        "pid, formulas, worlds",
+        [
+            (PostulateId.LEMMA1, {}, {"omega": "111"}),  # three bits in a two-atom state
+            (PostulateId.LEMMA1, {}, {}),  # omega left out
+            (PostulateId.DR12, {"alpha": ["1x"]}, {}),  # not a bitstring
+        ],
+    )
+    def test_malformed_values_rejected(self, pid, formulas, worlds, monkeypatch):
+        import dataclasses
+
+        import decrement.checker as checker
+
+        def never(*args):
+            raise AssertionError("evaluator ran")
+
+        rec = dataclasses.replace(checker.REGISTRY[pid], evaluate=never)
+        monkeypatch.setitem(checker.REGISTRY, pid, rec)
+        ce = {"state": [["11", "10", "01", "00"]], "formulas": formulas, "worlds": worlds}
+        with pytest.raises(StateFormatError):
+            replay_counterexample(IN, pid, ce)
+
+    @pytest.mark.parametrize(
+        "ce",
+        [
+            {"state": [["11", "10", "01", "00"]], "worlds": {}},  # no formulas
+            {"state": [["11", "10", "01", "00"]], "formulas": ["11"], "worlds": {}},  # not a map
+            {"formulas": {"alpha": ["11"]}, "worlds": {}},  # no state
+            [],  # not a document
+        ],
+    )
+    def test_malformed_document_rejected(self, ce):
+        with pytest.raises(StateFormatError):
+            replay_counterexample(IN, PostulateId.DR12, ce)
+
     @pytest.mark.parametrize("n_atoms", [4, 40])
     def test_too_many_atoms_rejected(self, n_atoms, monkeypatch):
         import dataclasses

@@ -1,4 +1,5 @@
-"""The kernel's DR primitives against independent oracles, and its input checks.
+"""The kernel's DR primitives and rank masks against independent oracles, and
+its input checks, the universe cap among them.
 
 ``dr_successors`` must stream exactly the brute-force filter of
 ``weak_order_ranks`` by ``dr_satisfied``, order included, and
@@ -9,8 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import decrement
 from decrement import _kernel
 from decrement._kernel import _pykernel
+from decrement.checker import successor_satisfiability
+from decrement.logic import Signature, parse_formula
+from decrement.preorder import TotalPreorder, enumerate_preorders
+from decrement.state import EpistemicState
 
 
 def brute_force(before, amask, cmask):
@@ -158,3 +164,57 @@ class TestInputChecks:
     def test_bad_kind_unread_on_identity_branch(self):
         # alpha is not believed: the step returns the order before reading the kind
         assert _kernel.step_ranks((1, 0), 0b01, 9) == (1, 0)
+
+
+class TestUniverseCap:
+    """One error class for more than MAX_UNIVERSE worlds, wherever it is hit."""
+
+    def test_one_class(self):
+        assert decrement.UniverseTooLargeError is _kernel.UniverseTooLargeError
+        assert issubclass(_kernel.UniverseTooLargeError, ValueError)
+
+    def test_raised_by_every_entry_point(self):
+        sig4 = Signature("abcd")
+        big = EpistemicState(sig4, TotalPreorder((0,) * 16))
+        calls = [
+            lambda: _kernel.weak_order_ranks(9),
+            lambda: _kernel.dr_successors((0,) * 9, 1, 255),
+            lambda: enumerate_preorders(9),  # on the call, before any next()
+            lambda: successor_satisfiability(big, parse_formula("a", sig4), ["DR8"]),
+        ]
+        for call in calls:
+            with pytest.raises(_kernel.UniverseTooLargeError):
+                call()
+
+    def test_empty_universe_is_not_the_cap(self):
+        with pytest.raises(ValueError) as exc:
+            _kernel.weak_order_ranks(0)
+        assert not isinstance(exc.value, _kernel.UniverseTooLargeError)
+
+
+@st.composite
+def rank_vectors_and_sets(draw):
+    """(ranks, smask): a compressed vector on 1..8 worlds and a world set."""
+    n = draw(st.integers(1, 8))
+    keys = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return _pykernel.compress_keys(keys), draw(st.integers(0, (1 << n) - 1))
+
+
+class TestMasks:
+    @settings(max_examples=300, deadline=None)
+    @given(rank_vectors_and_sets())
+    def test_against_per_world_oracles(self, problem):
+        ranks, smask = problem
+        worlds = range(len(ranks))
+        members = [w for w in worlds if (smask >> w) & 1]
+        lowest = min((ranks[w] for w in members), default=None)
+        assert _kernel.bel_mask(ranks) == sum(1 << w for w in worlds if ranks[w] == 0)
+        assert _kernel.min_rank_mask(ranks, smask) == sum(
+            1 << w for w in members if ranks[w] == lowest
+        )
+        assert _kernel.layer_masks(ranks) == [
+            sum(1 << w for w in worlds if ranks[w] == r) for r in range(max(ranks) + 1)
+        ]
+
+    def test_min_rank_mask_of_empty_set(self):
+        assert _kernel.min_rank_mask((1, 0, 2), 0) == 0

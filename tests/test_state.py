@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decrement._kernel import compress_keys
 from decrement.logic import formula_from_worldset, parse_formula, worldset_from_bits
 from decrement.preorder import enumerate_preorders
 from decrement.state import (
@@ -10,6 +11,8 @@ from decrement.state import (
     bel_equiv_wrt,
     belief_models,
     believes,
+    layers_to_bits,
+    order_from_bits,
     state_from_doc,
     state_to_doc,
 )
@@ -135,6 +138,7 @@ class TestStateDocs:
             {"atoms": ["a", "b"], "layers": [["11"], [], ["10", "01", "00"]]},
             {"atoms": ["a", "a"], "layers": [["11", "10", "01", "00"]]},
             {"atoms": ["a", "b"], "layers": "nope"},
+            {"atoms": ["a", "b"], "layers": [["11", "11", "10", "01", "00"]]},
         ],
     )
     def test_malformed_docs(self, doc):
@@ -148,6 +152,17 @@ class TestStateDocs:
             state_from_doc(doc)
         except StateFormatError:
             pass
+
+    @pytest.mark.parametrize("n_atoms", [1, 2])
+    def test_codec_roundtrip_every_order(self, n_atoms):
+        for tpo in enumerate_preorders(1 << n_atoms):
+            assert order_from_bits(layers_to_bits(tpo.ranks, n_atoms), n_atoms) == tpo
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 7), min_size=8, max_size=8))
+    def test_codec_roundtrip_three_atoms(self, keys):
+        ranks = compress_keys(keys)
+        assert order_from_bits(layers_to_bits(ranks, 3), 3).ranks == ranks
 
     def test_mismatched_order_size(self, sig2):
         from decrement.preorder import TotalPreorder
