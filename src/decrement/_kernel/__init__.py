@@ -16,5 +16,6 @@ from decrement._kernel._pykernel import (
     layer_masks,
     min_rank_mask,
     step_ranks,
+    weak_order_count,
     weak_order_ranks,
 )

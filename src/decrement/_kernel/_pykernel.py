@@ -10,6 +10,8 @@ DR constraint bits for dr_violation and dr_satisfied:
 
 from __future__ import annotations
 
+from math import comb
+
 BACKEND = "python"
 
 KIND_TYPE1 = 0
@@ -38,6 +40,19 @@ def weak_order_ranks(n: int):
     counts match the ordered-set-partition (Fubini) numbers.
     """
     return _ordered_ranks(_check_universe(n), None)
+
+
+def weak_order_count(n: int) -> int:
+    """The length of the weak_order_ranks stream: the Fubini number of n.
+
+    a(0) = 1 and a(m) = sum over k = 1..m of C(m, k) a(m - k): the first
+    layer takes k of the m worlds.
+    """
+    _check_universe(n)
+    a = [1]
+    for m in range(1, n + 1):
+        a.append(sum(comb(m, k) * a[m - k] for k in range(1, m + 1)))
+    return a[n]
 
 
 def _ordered_ranks(n: int, compat):

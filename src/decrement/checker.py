@@ -1,10 +1,13 @@
 """Exhaustive and sampled verification of belief-change postulates.
 
-Every named condition is evaluated against an operator kind by brute
-force: states range over all total preorders of the universe, formulas
-over all semantic classes (world sets), worlds over the universe.  The
-sampled mode draws cases from the same spaces with a seeded generator, so
-identical inputs always produce identical reports.
+Every named condition is evaluated against an operator kind over a case
+space: states range over all total preorders of the universe, formulas
+over all semantic classes (world sets), worlds over the universe.  A
+verdict depends only on the case's class under relabelling of worlds
+(``decrement.profiles``), so exhaustive mode evaluates one representative
+per class and counts the whole class.  The sampled mode draws cases from
+the same spaces with a seeded generator, so identical inputs always
+produce identical reports.
 
 A postulate is defined by its ``Postulate`` record in ``REGISTRY``: the
 evaluator, the variables it quantifies with the mask each must contain,
@@ -38,7 +41,8 @@ import os
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import islice
+from itertools import groupby, islice
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from decrement import _kernel
@@ -65,6 +69,7 @@ from decrement.operators import (
     NotPreorderError,
 )
 from decrement.preorder import TotalPreorder
+from decrement.profiles import case_class_count, case_classes, orbit
 from decrement.state import (
     EpistemicState,
     StateFormatError,
@@ -140,9 +145,6 @@ ALL_POSTULATES: tuple[PostulateId, ...] = tuple(PostulateId)
 
 # DRk selects bit k - 8 of the kernel's pairwise condition table.
 _DR_BITS = {PostulateId(f"DR{k}"): 1 << (k - 8) for k in range(8, 16)}
-
-# Total preorder counts per universe size, used only to partition work.
-_WEAK_ORDER_COUNTS = (1, 1, 3, 13, 75, 541, 4683, 47293, 545835)
 
 
 @dataclass(frozen=True)
@@ -531,30 +533,6 @@ def _low(rec: Postulate, var: str, values: tuple, bel: int, full: int) -> int:
     return a if bound == "alpha" else full & ~a
 
 
-@lru_cache(maxsize=1 << 10)
-def _assignments(pid: PostulateId, n_worlds: int, bel: int) -> tuple[tuple[int, ...], ...]:
-    rec = REGISTRY[pid]
-    full = (1 << n_worlds) - 1
-    out: list[tuple[int, ...]] = [()]
-    for var in rec.variables:
-        grown = []
-        for values in out:
-            if var == "omega":
-                choices = range(n_worlds)
-            else:
-                low = _low(rec, var, values, bel, full)
-                choices = [m for m in range(full + 1) if low & ~m == 0]
-            grown.extend(values + (x,) for x in choices)
-        out = grown
-    return tuple(out)
-
-
-def _inner_cases(pid: PostulateId, ranks: tuple) -> tuple[tuple[int, ...], ...]:
-    """Variable values for one state, exhaustive and in a fixed order."""
-    reads_bel = "bel" in REGISTRY[pid].above.values()
-    return _assignments(pid, len(ranks), bel_mask(ranks) if reads_bel else 0)
-
-
 def _sample_case(pid: PostulateId, rng: random.Random, n_worlds: int) -> tuple[tuple, tuple]:
     """One random premise-satisfying case: (ranks, variable values)."""
     rec = REGISTRY[pid]
@@ -573,25 +551,43 @@ def _sample_case(pid: PostulateId, rng: random.Random, n_worlds: int) -> tuple[t
 
 # --- report assembly ---------------------------------------------------------
 
+@lru_cache(maxsize=1 << 13)
+def _layers_key(ranks: tuple, n_atoms: int) -> tuple[tuple[str, ...], ...]:
+    """The layer document of ``ranks``, as a sort key.  An orbit's members
+    share few rank vectors, so expanding one builds few documents."""
+    return tuple(map(tuple, layers_to_bits(ranks, n_atoms)))
+
+
+def _case_key(ranks: tuple, formulas: dict[str, int], worlds: dict[str, int], n_atoms: int):
+    """Sort key of a counterexample: fewest layers, then the layer document,
+    then the formula and world values."""
+    layers = _layers_key(ranks, n_atoms)
+    return len(layers), layers, tuple(sorted(formulas.items())), tuple(sorted(worlds.items()))
+
+
 def _counterexample(
     ranks: tuple,
     formulas: dict[str, int],
     worlds: dict[str, int],
     n_atoms: int,
-) -> tuple[tuple, dict]:
-    layers = layers_to_bits(ranks, n_atoms)
-    doc = {
-        "state": layers,
+) -> dict:
+    return {
+        "state": layers_to_bits(ranks, n_atoms),
         "formulas": {k: worldset_to_bits(v, n_atoms) for k, v in sorted(formulas.items())},
         "worlds": {k: world_to_bits(v, n_atoms) for k, v in sorted(worlds.items())},
     }
-    key = (
-        len(layers),
-        tuple(map(tuple, layers)),
-        tuple(sorted(formulas.items())),
-        tuple(sorted(worlds.items())),
-    )
-    return key, doc
+
+
+def _failure(rec: Postulate, ranks: tuple, values: tuple, witness: dict, n_atoms: int):
+    """(key, case) of a failing case, the case as _counterexample takes it."""
+    formulas = dict(zip(rec.variables, values))
+    worlds = {"omega": formulas.pop("omega")} if "omega" in formulas else {}
+    worlds.update(witness)
+    return _case_key(ranks, formulas, worlds, n_atoms), (ranks, formulas, worlds)
+
+
+def _smallest(failures: list) -> list:
+    return heapq.nsmallest(COUNTEREXAMPLE_CAP, failures, key=itemgetter(0))
 
 
 def _run_chunk(
@@ -601,42 +597,64 @@ def _run_chunk(
     mode: Mode,
     lo: int,
     hi: int,
-) -> tuple[int, list[tuple[tuple, dict]]]:
-    """Evaluate cases with index in [lo, hi); returns (cases, capped failures)."""
+) -> tuple[int, list[tuple]]:
+    """Evaluate cases with index in [lo, hi); returns (cases, failures).
+
+    Sample mode returns the smallest failures as (key, case) pairs.  In
+    exhaustive mode the index runs over case classes, each counting its
+    orbit size, and the failures are the failing representatives as
+    (ranks, values); ``_orbit_failures`` expands them.
+    """
     code = OperatorKind(kind_value).code
     pid = PostulateId(pid_value)
     rec = REGISTRY[pid]
     n_worlds = 1 << n_atoms
     cases = 0
-    failures: list[tuple[tuple, dict]] = []
-
-    def record(ranks, values, witness):
-        named = dict(zip(rec.variables, values))
-        worlds = {"omega": named.pop("omega")} if "omega" in named else {}
-        worlds.update(witness)
-        failures.append(_counterexample(ranks, named, worlds, n_atoms))
-        if len(failures) > 4 * COUNTEREXAMPLE_CAP:
-            failures[:] = heapq.nsmallest(COUNTEREXAMPLE_CAP, failures, key=lambda kv: kv[0])
-
+    failures: list[tuple] = []
     if isinstance(mode, Exhaustive):
-        for ranks in islice(_kernel.weak_order_ranks(n_worlds), lo, hi):
-            inner = _inner_cases(pid, ranks)
-            cases += len(inner)
-            for values in inner:
+        for ranks, values, size in islice(case_classes(rec.variables, rec.above, n_worlds), lo, hi):
+            cases += size
+            if not rec.evaluate(ranks, code, *values)[0]:
+                failures.append((ranks, values))
+        return cases, failures
+    for i in range(lo, hi):
+        rng = random.Random(mode.seed * 2_000_003 + i)
+        ranks, values = _sample_case(pid, rng, n_worlds)
+        cases += 1
+        ok, witness = rec.evaluate(ranks, code, *values)
+        if not ok:
+            failures.append(_failure(rec, ranks, values, witness, n_atoms))
+            if len(failures) > 4 * COUNTEREXAMPLE_CAP:
+                failures = _smallest(failures)
+    return cases, _smallest(failures)
+
+
+def _orbit_failures(rec: Postulate, code: int, n_atoms: int, failing: list) -> list[tuple]:
+    """The smallest failures among the members of the failing orbits.
+
+    Every member of an orbit has its representative's layer count, the
+    first part of the key, so the smallest failures lie in the failing
+    orbits of the fewest layers: those are expanded, a layer count at a
+    time, until the cap is reached.  Each member runs through the
+    evaluator, which gives its own witness.
+    """
+    failures: list[tuple] = []
+    found = 0
+    def top(case):  # a representative's ranks ascend
+        return case[0][-1]
+
+    for _, group in groupby(sorted(failing, key=top), key=top):
+        if found >= COUNTEREXAMPLE_CAP:
+            break
+        for rep_ranks, rep_values in group:
+            for ranks, values in orbit(rec.variables, rep_ranks, rep_values):
                 ok, witness = rec.evaluate(ranks, code, *values)
                 if not ok:
-                    record(ranks, values, witness)
-    else:
-        for i in range(lo, hi):
-            rng = random.Random(mode.seed * 2_000_003 + i)
-            ranks, values = _sample_case(pid, rng, n_worlds)
-            cases += 1
-            ok, witness = rec.evaluate(ranks, code, *values)
-            if not ok:
-                record(ranks, values, witness)
-
-    failures = heapq.nsmallest(COUNTEREXAMPLE_CAP, failures, key=lambda kv: kv[0])
-    return cases, failures
+                    found += 1
+                    failures.append(_failure(rec, ranks, values, witness, n_atoms))
+                    if len(failures) > 4 * COUNTEREXAMPLE_CAP:
+                        failures = _smallest(failures)
+    return _smallest(failures)
 
 
 def _validate_domain(pid: PostulateId, sig: Signature, mode: Mode) -> None:
@@ -662,20 +680,23 @@ def check_postulate(
 ) -> CheckReport:
     """Quantify one postulate over states, formula classes, and worlds.
 
-    Exhaustive mode walks every total preorder of the signature's universe;
-    postulates over formula pairs and the give-up successor relation are
-    capped at two atoms, everything else at three.  Reports are
-    deterministic for identical (signature, mode, seed) regardless of the
-    worker count.  At most one process per usable CPU is started, whatever
-    ``workers`` asks for.
+    Exhaustive mode decides every case of the space, one case class
+    (orbit under relabelling of worlds) at a time; postulates over formula
+    pairs and the give-up successor relation are capped at two atoms,
+    everything else at three.  Workers split the case classes, or the
+    drawn cases; the failing orbits are expanded once, after they finish.
+    Reports are deterministic for identical (signature, mode, seed)
+    regardless of the worker count.  At most one process per usable CPU is
+    started, whatever ``workers`` asks for.
     """
     kind = OperatorKind(kind)
     pid = PostulateId(postulate)
     _validate_domain(pid, sig, mode)
     n_atoms = sig.n_atoms
+    rec = REGISTRY[pid]
 
     if isinstance(mode, Exhaustive):
-        total = _WEAK_ORDER_COUNTS[1 << n_atoms]
+        total = case_class_count(rec.variables, rec.above, 1 << n_atoms)
     else:
         if mode.count < 0:
             raise ValueError("sample count must be nonnegative")
@@ -693,13 +714,12 @@ def check_postulate(
         results = _map_parallel(chunks)
 
     cases = sum(r[0] for r in results)
-    merged: list[tuple[tuple, dict]] = []
-    for _, fails in results:
-        merged.extend(fails)
-    best = heapq.nsmallest(COUNTEREXAMPLE_CAP, merged, key=lambda kv: kv[0])
-    counterexamples = [doc for _, doc in best]
+    failures = [f for _, chunk_failures in results for f in chunk_failures]
+    if isinstance(mode, Exhaustive):
+        failures = _orbit_failures(rec, kind.code, n_atoms, failures)
+    counterexamples = [_counterexample(*case, n_atoms) for _, case in _smallest(failures)]
 
-    domain = f"{mode.describe(n_atoms)}; {REGISTRY[pid].note}"
+    domain = f"{mode.describe(n_atoms)}; {rec.note}"
     return CheckReport(
         postulate=pid.value,
         operator=kind.value,
@@ -819,9 +839,9 @@ def verify_representation(kind: Union[OperatorKind, str], sig: Signature) -> Che
     failures: list[tuple[tuple, dict]] = []
 
     def record(ranks, formulas, worlds, detail):
-        key, doc = _counterexample(ranks, formulas, worlds, n_atoms)
+        doc = _counterexample(ranks, formulas, worlds, n_atoms)
         doc["detail"] = detail
-        failures.append(((key, detail), doc))
+        failures.append(((_case_key(ranks, formulas, worlds, n_atoms), detail), doc))
 
     for ranks in _kernel.weak_order_ranks(n):
         cases += 1

@@ -15,6 +15,7 @@ import json
 import sys
 
 from decrement import __version__, kernel_backend
+from decrement._kernel import weak_order_count
 from decrement.checker import (
     ALL_POSTULATES,
     DomainTooLargeError,
@@ -226,13 +227,12 @@ def cmd_sat(args) -> int:
 def cmd_enumerate(args) -> int:
     sig = _signature_for_atoms(args.atoms)
     try:
+        if args.count:
+            print(weak_order_count(sig.n_worlds))
+            return 0
         stream = enumerate_preorders(sig.n_worlds)
     except UniverseTooLargeError as exc:
         raise CliError(str(exc)) from None
-    if args.count:
-        total = sum(1 for _ in stream)
-        print(total)
-        return 0
     emitted = 0
     for tpo in stream:
         if args.limit is not None and emitted >= args.limit:

@@ -46,12 +46,10 @@ class TotalPreorder:
         return self.ranks[world]
 
     def layer(self, index: int) -> int:
-        """World-set mask of one layer."""
-        mask = 0
-        for w, r in enumerate(self.ranks):
-            if r == index:
-                mask |= 1 << w
-        return mask
+        """World-set mask of one layer; empty outside ``0..top``."""
+        if not 0 <= index < self.n_layers:
+            return 0
+        return _kernel.layer_masks(self.ranks)[index]
 
     @property
     def layer0(self) -> int:

@@ -10,6 +10,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decrement.checker import (
     ALL_POSTULATES,
@@ -519,10 +521,161 @@ class TestRegistry:
 
     @pytest.mark.parametrize("pid", list(PostulateId))
     def test_sampled_cases_are_enumerated_cases(self, pid):
-        # the sampler and the enumerator agree on every premise
-        from decrement.checker import _inner_cases, _sample_case
+        # the sampler and the brute-force case space agree on every premise
+        from decrement.checker import _sample_case
 
+        space = set(brute_cases(pid, 4))
         rng = random.Random(pid.value)
         for _ in range(200):
             ranks, values = _sample_case(pid, rng, 4)
-            assert values in _inner_cases(pid, ranks), (ranks, values)
+            assert (ranks, values) in space, (ranks, values)
+
+
+# --- brute force: the exhaustive case space, one case at a time -------------
+
+def brute_cases(pid, n_worlds):
+    """Every (ranks, values) case of pid's exhaustive space: each weak order
+    times each assignment of the variables that meets the premises."""
+    from decrement._kernel import bel_mask, weak_order_ranks
+    from decrement.checker import REGISTRY
+
+    rec = REGISTRY[pid]
+    full = (1 << n_worlds) - 1
+    for ranks in weak_order_ranks(n_worlds):
+        cases = [()]
+        for var in rec.variables:
+            grown = []
+            for values in cases:
+                alpha = dict(zip(rec.variables, values)).get("alpha", 0)
+                need = {"bel": bel_mask(ranks), "alpha": alpha, "~alpha": full & ~alpha}
+                low = need.get(rec.above.get(var), 0)
+                if var == "omega":
+                    choices = range(n_worlds)
+                else:
+                    choices = [m for m in range(full + 1) if low & ~m == 0]
+                grown += [values + (x,) for x in choices]
+            cases = grown
+        for values in cases:
+            yield ranks, values
+
+
+def brute_report(kind, pid, n_atoms):
+    """(cases, counterexamples) with every case evaluated, ordered by the
+    documented key: fewest layers, then the layer bitstrings."""
+    from decrement.checker import COUNTEREXAMPLE_CAP, REGISTRY
+    from decrement.logic import world_to_bits, worldset_to_bits
+    from decrement.state import layers_to_bits
+
+    rec = REGISTRY[pid]
+    cases, failures = 0, []
+    for ranks, values in brute_cases(pid, 1 << n_atoms):
+        cases += 1
+        ok, witness = rec.evaluate(ranks, OperatorKind(kind).code, *values)
+        if ok:
+            continue
+        formulas = dict(zip(rec.variables, values))
+        worlds = {"omega": formulas.pop("omega")} if "omega" in formulas else {}
+        worlds.update(witness)
+        layers = layers_to_bits(ranks, n_atoms)
+        key = (len(layers), layers, sorted(formulas.items()), sorted(worlds.items()))
+        doc = {
+            "state": layers,
+            "formulas": {k: worldset_to_bits(v, n_atoms) for k, v in sorted(formulas.items())},
+            "worlds": {k: world_to_bits(v, n_atoms) for k, v in sorted(worlds.items())},
+        }
+        failures.append((key, doc))
+    failures.sort(key=lambda kv: kv[0])
+    return cases, [doc for _, doc in failures[:COUNTEREXAMPLE_CAP]]
+
+
+FAILING_TWO_ATOM_CELLS = [
+    (T1, PostulateId.D12), (T2, PostulateId.D12), (IN, PostulateId.D12),
+    (T1, PostulateId.DR15), (T2, PostulateId.DR14), (IN, PostulateId.DR12), (IN, PostulateId.DR14),
+]
+
+
+class TestOrbitCheckerAgainstBruteForce:
+    """Exhaustive mode decides one case per orbit; brute force decides them all."""
+
+    @staticmethod
+    def assert_same(kind, pid, n_atoms):
+        report = check_postulate(kind, pid, Signature("abc"[:n_atoms]))
+        assert (report.cases, report.counterexamples) == brute_report(kind, pid, n_atoms)
+        assert report.outcome == ("fail" if report.counterexamples else "pass")
+
+    @pytest.mark.parametrize("kind", list(OperatorKind))
+    @pytest.mark.parametrize("pid", list(PostulateId))
+    def test_every_one_atom_cell(self, kind, pid):
+        self.assert_same(kind, pid, 1)
+
+    @pytest.mark.parametrize("kind, pid", FAILING_TWO_ATOM_CELLS)
+    def test_failing_two_atom_cells(self, kind, pid):
+        self.assert_same(kind, pid, 2)
+
+    @settings(max_examples=12, deadline=None)
+    @given(kind=st.sampled_from(list(OperatorKind)), pid=st.sampled_from(list(PostulateId)))
+    def test_drawn_two_atom_cells(self, kind, pid):
+        self.assert_same(kind, pid, 2)
+
+
+def relabel(perm, ranks, variables, values):
+    """The case with world w renamed perm[w]."""
+    from decrement.logic import iter_worlds
+
+    moved = [0] * len(ranks)
+    for w, r in enumerate(ranks):
+        moved[perm[w]] = r
+    return tuple(moved), tuple(
+        perm[v] if var == "omega" else sum(1 << perm[w] for w in iter_worlds(v))
+        for var, v in zip(variables, values)
+    )
+
+
+class TestEquivariance:
+    """A verdict depends only on the case's orbit: relabelling the worlds
+    of a case never changes it.  Exhaustive mode rests on this."""
+
+    @pytest.mark.parametrize("pid", list(PostulateId))
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(list(OperatorKind)),
+        n_atoms=st.sampled_from([2, 3]),
+        seed=st.integers(0, 2**32),
+        data=st.data(),
+    )
+    def test_verdict_survives_relabelling(self, pid, kind, n_atoms, seed, data):
+        from decrement.checker import REGISTRY, _sample_case
+
+        rec = REGISTRY[pid]
+        n = 1 << n_atoms
+        ranks, values = _sample_case(pid, random.Random(seed), n)
+        perm = data.draw(st.permutations(range(n)))
+        moved_ranks, moved_values = relabel(perm, ranks, rec.variables, values)
+        before, _ = rec.evaluate(ranks, kind.code, *values)
+        after, _ = rec.evaluate(moved_ranks, kind.code, *moved_values)
+        assert before == after
+
+
+class TestThreeAtoms:
+    """Exhaustive single-formula cells at three atoms (8 worlds)."""
+
+    def test_type1_d13_passes(self):
+        report = check_postulate(T1, PostulateId.D13, Signature("abc"))
+        assert report.outcome == "pass"
+        assert report.cases == 139_733_760  # 545,835 orders x 256 alpha classes
+
+    # sha256 of CheckReport.to_json(); both equal a case-by-case run of the
+    # checker that walked every order (26 and 17 min on two workers)
+    @pytest.mark.parametrize(
+        "kind, pid, sha256",
+        [
+            (IN, PostulateId.DR12, "faf261cc219cf30f5795204fc092a966e0508ede04699bae1621e17305360566"),
+            (T1, PostulateId.DR15, "bffe8217c39b0e4caa0d87c27d3c7d99a781b6aea5d553071bfe3e6fb2947898"),
+        ],
+        ids=["instant-DR12", "type1-DR15"],
+    )
+    def test_failing_cells_pinned(self, kind, pid, sha256):
+        report = check_postulate(kind, pid, Signature("abc"))
+        assert report.cases == 57_879_617
+        assert hashlib.sha256(report.to_json().encode("utf-8")).hexdigest() == sha256
+

@@ -1,5 +1,6 @@
 """The kernel's DR primitives and rank masks against independent oracles, and
-its input checks, the universe cap among them.
+its input checks, the universe cap among them, and the Fubini count of
+the weak-order stream.
 
 ``dr_successors`` must stream exactly the brute-force filter of
 ``weak_order_ranks`` by ``dr_satisfied``, order included, and
@@ -164,6 +165,19 @@ class TestInputChecks:
     def test_bad_kind_unread_on_identity_branch(self):
         # alpha is not believed: the step returns the order before reading the kind
         assert _kernel.step_ranks((1, 0), 0b01, 9) == (1, 0)
+
+
+class TestWeakOrderCount:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equals_stream_length(self, n):
+        assert _kernel.weak_order_count(n) == sum(1 for _ in _kernel.weak_order_ranks(n))
+
+    def test_eight_worlds(self):
+        assert _kernel.weak_order_count(8) == 545_835
+
+    def test_universe_cap(self):
+        with pytest.raises(_kernel.UniverseTooLargeError):
+            _kernel.weak_order_count(9)
 
 
 class TestUniverseCap:

@@ -49,6 +49,10 @@ class TestTotalPreorder:
         assert PSI1.layer(2) == (1 << W00) | (1 << W10)
         assert PSI1.n_layers == 3
 
+    def test_layer_outside_the_order_is_empty(self):
+        assert PSI1.layer(3) == 0  # past the top layer
+        assert PSI1.layer(-1) == 0  # not the top layer, as a list index would give
+
 
 class TestComparisons:
     def test_table_example_leq_lt(self):
