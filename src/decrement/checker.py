@@ -677,6 +677,8 @@ def check_postulate(
     sig: Signature,
     mode: Mode = EXHAUSTIVE,
     workers: int = 1,
+    *,
+    _pool=None,
 ) -> CheckReport:
     """Quantify one postulate over states, formula classes, and worlds.
 
@@ -687,7 +689,8 @@ def check_postulate(
     drawn cases; the failing orbits are expanded once, after they finish.
     Reports are deterministic for identical (signature, mode, seed)
     regardless of the worker count.  At most one process per usable CPU is
-    started, whatever ``workers`` asks for.
+    started, whatever ``workers`` asks for.  ``conformance_matrix`` passes
+    its one pool as ``_pool``; without it the call starts its own.
     """
     kind = OperatorKind(kind)
     pid = PostulateId(postulate)
@@ -706,12 +709,12 @@ def check_postulate(
         (kind.value, pid.value, n_atoms, mode, lo, hi)
         for lo, hi in _chunk_bounds(total, workers, _usable_cpus())
     ]
-    if not chunks:
-        results: list[tuple[int, list]] = []
-    elif len(chunks) == 1:
-        results = [_run_chunk(*chunks[0])]
-    else:
+    if len(chunks) <= 1:
+        results = [_run_chunk(*c) for c in chunks]
+    elif _pool is None:
         results = _map_parallel(chunks)
+    else:
+        results = list(_pool.map(_run_chunk, *zip(*chunks)))
 
     cases = sum(r[0] for r in results)
     failures = [f for _, chunk_failures in results for f in chunk_failures]
@@ -748,17 +751,31 @@ def _chunk_bounds(total: int, workers: int, cpus: int) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
 
 
-def _map_parallel(chunks: list[tuple]) -> list[tuple[int, list]]:
+def _worker_pool(workers: int):
+    """A process pool of ``workers`` processes, capped at the usable CPUs;
+    None when that leaves one process or the platform cannot fork.
+
+    The pool forks all its workers at its first ``map``, before it starts
+    its management thread, so no thread is running when they fork.
+    """
+    workers = min(workers, _usable_cpus())
+    if workers < 2:
+        return None
     import concurrent.futures
     import multiprocessing
 
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:
+        return None
+    return concurrent.futures.ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
+
+
+def _map_parallel(chunks: list[tuple]) -> list[tuple[int, list]]:
+    pool = _worker_pool(len(chunks))
+    if pool is None:
         return [_run_chunk(*c) for c in chunks]
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=len(chunks), mp_context=ctx
-    ) as pool:
+    with pool:
         return list(pool.map(_run_chunk, *zip(*chunks)))
 
 
@@ -769,17 +786,26 @@ def conformance_matrix(
     mode: Mode = EXHAUSTIVE,
     workers: int = 1,
 ) -> ConformanceMatrix:
-    """One CheckReport per (kind, postulate), in the requested order."""
+    """One CheckReport per (kind, postulate), in the requested order.
+
+    With more than one worker, the cells share one process pool, so its
+    workers start once and keep their operator caches from cell to cell.
+    """
     kind_list = [OperatorKind(k) for k in kinds]
     if isinstance(postulates, str) and postulates == "all":
         pid_list = list(ALL_POSTULATES)
     else:
         pid_list = [PostulateId(p) for p in postulates]
-    reports = [
-        check_postulate(kind, pid, sig, mode, workers=workers)
-        for kind in kind_list
-        for pid in pid_list
-    ]
+    pool = _worker_pool(workers)
+    try:
+        reports = [
+            check_postulate(kind, pid, sig, mode, workers=workers, _pool=pool)
+            for kind in kind_list
+            for pid in pid_list
+        ]
+    finally:
+        if pool is not None:
+            pool.shutdown()
     return ConformanceMatrix(
         atoms=tuple(sig.atoms),
         mode=mode.describe(sig.n_atoms),

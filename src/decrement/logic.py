@@ -11,7 +11,7 @@ second false.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import reduce
 from typing import Iterator
 
@@ -201,135 +201,125 @@ BOTTOM = Bottom()
 
 # --- parser -----------------------------------------------------------------
 
-_TOKEN_SPECS = (
-    ("IFF", "<->"),
-    ("IMPLIES", "->"),
-    ("NOT", "!"),
-    ("AND", "&"),
-    ("OR", "|"),
-    ("LPAREN", "("),
-    ("RPAREN", ")"),
-)
+# One pass of findall gives the token strings; whitespace separates tokens
+# and is dropped.  The last alternative takes any character that starts no
+# token, so that it can be reported.
+_TOKEN = re.compile(r"<->|->|[!&|()]|[a-z][a-z0-9_]*|\S")
+
+# Binary connective: (its precedence, the lowest precedence its right
+# operand may use, its node).  ``->`` and ``<->`` associate to the right,
+# ``&`` and ``|`` to the left.
+_BINARY = {
+    "<->": (1, 1, Iff),
+    "->": (2, 2, Implies),
+    "|": (3, 4, Or),
+    "&": (4, 5, And),
+}
+
+# Deepest accepted nesting: the height of the syntax tree, with each
+# parenthesised group counted as one level.  It keeps the recursion of the
+# parser (at most two frames a level), ``models`` and ``format_formula``
+# below the interpreter's default limit of 1000 frames.
+MAX_FORMULA_DEPTH = 300
+_TOO_DEEP = f"formula nested more than {MAX_FORMULA_DEPTH} levels deep"
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        for kind, lit in _TOKEN_SPECS:
-            if text.startswith(lit, pos):
-                tokens.append((kind, lit, pos))
-                pos += len(lit)
-                break
-        else:
-            m = ATOM_PATTERN.match(text, pos)
-            if m:
-                word = m.group(0)
-                if word == "true":
-                    tokens.append(("TRUE", word, pos))
-                elif word == "false":
-                    tokens.append(("FALSE", word, pos))
-                else:
-                    tokens.append(("ATOM", word, pos))
-                pos = m.end()
-            else:
-                raise FormulaSyntaxError(f"unexpected character {ch!r}", pos)
-    tokens.append(("END", "", n))
-    return tokens
+def _parse_error(text: str, index: int, message: str | None) -> FormulaError:
+    """The error for the token at ``index`` of ``text`` (the end of input
+    past the last token): an unknown atom when ``message`` is None, else a
+    syntax error with that message.
 
-
-class _Parser:
-    """Recursive-descent parser.
-
-    Precedence, tightest first: ``!``, ``&``, ``|``, ``->``, ``<->``.
-    ``->`` and ``<->`` associate to the right, ``&`` and ``|`` to the left.
+    A character that starts no token is reported instead, wherever it is,
+    as if the whole text were tokenized before any of it is parsed.
     """
-
-    def __init__(self, text: str, sig: Signature):
-        self.tokens = _tokenize(text)
-        self.sig = sig
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def parse(self) -> Formula:
-        node = self.parse_iff()
-        kind, value, at = self.peek()
-        if kind != "END":
-            raise FormulaSyntaxError(f"unexpected token {value!r}", at)
-        return node
-
-    def parse_iff(self) -> Formula:
-        left = self.parse_implies()
-        if self.peek()[0] == "IFF":
-            self.advance()
-            return Iff(left, self.parse_iff())
-        return left
-
-    def parse_implies(self) -> Formula:
-        left = self.parse_or()
-        if self.peek()[0] == "IMPLIES":
-            self.advance()
-            return Implies(left, self.parse_implies())
-        return left
-
-    def parse_or(self) -> Formula:
-        node = self.parse_and()
-        while self.peek()[0] == "OR":
-            self.advance()
-            node = Or(node, self.parse_and())
-        return node
-
-    def parse_and(self) -> Formula:
-        node = self.parse_unary()
-        while self.peek()[0] == "AND":
-            self.advance()
-            node = And(node, self.parse_unary())
-        return node
-
-    def parse_unary(self) -> Formula:
-        kind, value, at = self.advance()
-        if kind == "NOT":
-            return Not(self.parse_unary())
-        if kind == "ATOM":
-            if value not in self.sig._index:
-                raise UnknownAtomError(value, at)
-            return Atom(value)
-        if kind == "TRUE":
-            return TOP
-        if kind == "FALSE":
-            return BOTTOM
-        if kind == "LPAREN":
-            node = self.parse_iff()
-            k, v, p = self.advance()
-            if k != "RPAREN":
-                if k == "END":
-                    raise FormulaSyntaxError("unexpected end of input, expected ')'", p)
-                raise FormulaSyntaxError(f"expected ')', found {v!r}", p)
-            return node
-        if kind == "END":
-            raise FormulaSyntaxError("unexpected end of input", at)
-        raise FormulaSyntaxError(f"unexpected token {value!r}", at)
+    spans = list(_TOKEN.finditer(text))
+    for m in spans:
+        tok = m.group()
+        if len(tok) == 1 and tok not in "!&|()" and not "a" <= tok <= "z":
+            return FormulaSyntaxError(f"unexpected character {tok!r}", m.start())
+    at = spans[index].start() if index < len(spans) else len(text)
+    if message is None:
+        return UnknownAtomError(spans[index].group(), at)
+    return FormulaSyntaxError(message, at)
 
 
 def parse_formula(text: str, sig: Signature) -> Formula:
     """Parse formula text over the given signature.
 
-    Raises :class:`FormulaSyntaxError` on malformed input and
+    Precedence, tightest first: ``!``, ``&``, ``|``, ``->``, ``<->``.
+    ``->`` and ``<->`` associate to the right, ``&`` and ``|`` to the left.
+
+    Raises :class:`FormulaSyntaxError` on malformed input or a formula
+    nested deeper than ``MAX_FORMULA_DEPTH``, and
     :class:`UnknownAtomError` for atoms absent from the signature.
     """
-    return _Parser(text, sig).parse()
+    tokens = _TOKEN.findall(text)
+    tokens.append("")  # end of input
+    known = sig._index
+    atoms: dict[str, Atom] = {}
+    pos = 0
+    height = 0  # of the subformula parsed last
+
+    # ``depth`` counts the enclosing groups, negations and binary nodes
+    # known so far: a lower bound on the height, which bounds the recursion.
+    def binary(min_prec: int, depth: int) -> Formula:
+        nonlocal pos, height
+        left = unary(depth)
+        while True:
+            op = _BINARY.get(tokens[pos])
+            if op is None or op[0] < min_prec:
+                return left
+            pos += 1
+            left_height = height
+            right = binary(op[1], depth + 1)
+            if left_height > height:
+                height = left_height
+            height += 1
+            left = op[2](left, right)
+
+    def unary(depth: int) -> Formula:
+        nonlocal pos, height
+        if depth > MAX_FORMULA_DEPTH:
+            raise _parse_error(text, pos, _TOO_DEEP)
+        tok = tokens[pos]
+        pos += 1
+        if tok in known:
+            height = 0
+            node = atoms.get(tok)
+            if node is None:
+                node = atoms[tok] = Atom(tok)
+            return node
+        if tok == "!":
+            node = Not(unary(depth + 1))
+            height += 1
+            return node
+        if tok == "(":
+            node = binary(1, depth + 1)
+            height += 1
+            if tokens[pos] != ")":
+                if not tokens[pos]:
+                    raise _parse_error(text, pos, "unexpected end of input, expected ')'")
+                raise _parse_error(text, pos, f"expected ')', found {tokens[pos]!r}")
+            pos += 1
+            return node
+        if tok == "true":
+            height = 0
+            return TOP
+        if tok == "false":
+            height = 0
+            return BOTTOM
+        if not tok:
+            raise _parse_error(text, pos - 1, "unexpected end of input")
+        if "a" <= tok[0] <= "z":
+            raise _parse_error(text, pos - 1, None)
+        raise _parse_error(text, pos - 1, f"unexpected token {tok!r}")
+
+    node = binary(1, 0)
+    if tokens[pos]:
+        raise _parse_error(text, pos, f"unexpected token {tokens[pos]!r}")
+    if height > MAX_FORMULA_DEPTH:
+        raise _parse_error(text, 0, _TOO_DEEP)
+    return node
 
 
 _PRECEDENCE = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5}
@@ -380,26 +370,42 @@ def format_formula(f: Formula) -> str:
 
 # --- semantics --------------------------------------------------------------
 
+_NODE_CLASSES = (Atom, Not, And, Or, Implies, Iff, Top, Bottom)
+
+
 def models(f: Formula, sig: Signature) -> int:
     """World-set mask of the models of ``f`` under classical semantics."""
     universe = sig.universe
-    if isinstance(f, Atom):
-        return sig.atom_models(sig.atom_index(f.name))
-    if isinstance(f, Not):
-        return universe & ~models(f.operand, sig)
-    if isinstance(f, And):
-        return models(f.left, sig) & models(f.right, sig)
-    if isinstance(f, Or):
-        return models(f.left, sig) | models(f.right, sig)
-    if isinstance(f, Implies):
-        return universe & (~models(f.left, sig) | models(f.right, sig))
-    if isinstance(f, Iff):
-        return universe & ~(models(f.left, sig) ^ models(f.right, sig))
-    if isinstance(f, Top):
-        return universe
-    if isinstance(f, Bottom):
-        return 0
-    raise TypeError(f"not a formula node: {f!r}")
+    n_atoms = sig.n_atoms
+    atom_masks: dict[str, int] = {}
+
+    def walk(node: Formula) -> int:
+        kind = type(node)
+        if kind is Atom:
+            mask = atom_masks.get(node.name)
+            if mask is None:
+                mask = atom_masks[node.name] = _atom_models(n_atoms, sig.atom_index(node.name))
+            return mask
+        if kind is And:
+            return walk(node.left) & walk(node.right)
+        if kind is Not:
+            return universe & ~walk(node.operand)
+        if kind is Or:
+            return walk(node.left) | walk(node.right)
+        if kind is Implies:
+            return universe & (~walk(node.left) | walk(node.right))
+        if kind is Iff:
+            return universe & ~(walk(node.left) ^ walk(node.right))
+        if kind is Top:
+            return universe
+        if kind is Bottom:
+            return 0
+        for base in _NODE_CLASSES:  # a subclass evaluates as its node class
+            if isinstance(node, base):
+                return walk(base(*(getattr(node, field.name) for field in fields(base))))
+        raise TypeError(f"not a formula node: {node!r}")
+
+    return walk(f)
 
 
 def entails(f: Formula, g: Formula, sig: Signature) -> bool:

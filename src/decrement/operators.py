@@ -126,11 +126,33 @@ def giveup_lt_masks(ranks: tuple, a: int, b: int, code: int) -> bool:
 
 
 def giveup_ll_masks(ranks: tuple, a: int, b: int, code: int) -> bool:
-    if not giveup_lt_masks(ranks, a, b, code):
+    # giveup_lt_masks(a, b), then giveup_lt_masks(a, g) and
+    # giveup_lt_masks(g, b) for every class g, reading each class's belief
+    # once per call, in the order giveup_lt_masks reads them.
+    memo: dict[int, int] = {}
+
+    def bel(mask: int) -> int:
+        got = memo.get(mask)
+        if got is None:
+            got = memo[mask] = achieve_bel(ranks, mask, code)
+        return got
+
+    bel_a = bel(a)
+    bel_ab = bel(a & b)
+    if bel_a & ~bel_ab:
         return False
-    n_classes = 1 << len(ranks)
-    for g in range(n_classes):
-        if giveup_lt_masks(ranks, a, g, code) and giveup_lt_masks(ranks, g, b, code):
+    bel_b = bel(b)
+    if not bel_b & ~bel_ab:
+        return False
+    for g in range(1 << len(ranks)):
+        bel_ag = bel(a & g)
+        if bel_a & ~bel_ag:
+            continue
+        bel_g = bel(g)
+        if not bel_g & ~bel_ag:
+            continue
+        bel_gb = bel(g & b)
+        if not bel_g & ~bel_gb and bel_b & ~bel_gb:
             return False
     return True
 

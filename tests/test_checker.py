@@ -292,6 +292,37 @@ class TestMatrix:
         assert seen == [3]
         assert many.to_json() == one.to_json()
 
+    def test_matrix_shares_one_pool_and_shuts_it_down(self, monkeypatch):
+        import decrement.checker as checker
+
+        class SerialPool:
+            def __init__(self):
+                self.maps = 0
+                self.shut = False
+
+            def map(self, fn, *iterables):
+                self.maps += 1
+                return map(fn, *iterables)
+
+            def shutdown(self):
+                self.shut = True
+
+        pools = []
+
+        def serial_pool(workers):
+            pools.append(SerialPool())
+            return pools[-1]
+
+        monkeypatch.setattr(checker, "_worker_pool", serial_pool)
+        monkeypatch.setattr(checker, "_usable_cpus", lambda: 2)
+        pids = [PostulateId.D1, PostulateId.DR12]
+        shared = conformance_matrix(list(OperatorKind), pids, SIG2, workers=2)
+        assert [(p.maps, p.shut) for p in pools] == [(6, True)]
+        assert shared.to_json() == conformance_matrix(list(OperatorKind), pids, SIG2).to_json()
+        with pytest.raises(DomainTooLargeError):
+            conformance_matrix([T1], [PostulateId.D1, PostulateId.D12], Signature(("a", "b", "c")), workers=2)
+        assert pools[-1].shut
+
     def test_sample_mode_deterministic(self):
         mode = Sample(seed=7, count=64)
         r1 = check_postulate(T1, PostulateId.D8, SIG2, mode)

@@ -74,6 +74,16 @@ class TestApply:
         assert code == 2
         assert "unknown atom" in err
 
+    @pytest.mark.parametrize(
+        "formula",
+        ["!" * 3000 + "a", "(" * 3000 + "a" + ")" * 3000, " & ".join(["a"] * 3000), " -> ".join(["a"] * 3000)],
+        ids=["negations", "parentheses", "conjunction", "implication"],
+    )
+    def test_too_deep_formula_exits_2(self, capsys, formula):
+        code, _, err = run(capsys, "apply", FLAT, "--formula", formula, "--op", "type1")
+        assert code == 2
+        assert err.startswith("error: bad formula: formula nested more than 300 levels deep")
+
     def test_steps_and_achieve_conflict(self, capsys):
         code, _, err = run(
             capsys, "apply", PSI1, "--formula", "a", "--op", "type1", "--steps", "2", "--achieve"

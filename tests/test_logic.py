@@ -8,6 +8,7 @@ from decrement.logic import (
     FormulaSyntaxError,
     Iff,
     Implies,
+    MAX_FORMULA_DEPTH,
     Not,
     Or,
     Signature,
@@ -122,6 +123,49 @@ class TestParser:
     def test_parentheses(self, sig2):
         f = parse_formula("a & (b | a)", sig2)
         assert f == And(Atom("a"), Or(Atom("b"), Atom("a")))
+
+
+class TestFormulaDepth:
+    TOO_DEEP = ["!" * 3000 + "a", "(" * 3000 + "a" + ")" * 3000, " & ".join(["a"] * 3000), " -> ".join(["a"] * 3000)]
+
+    @pytest.mark.parametrize("text", TOO_DEEP, ids=["negations", "parentheses", "conjunction", "implication"])
+    def test_too_deep_is_a_syntax_error(self, sig2, text):
+        with pytest.raises(FormulaSyntaxError, match="nested more than 300 levels deep"):
+            parse_formula(text, sig2)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            lambda n: "!" * n + "a",
+            lambda n: "(" * n + "a" + ")" * n,
+            lambda n: " & ".join(["a"] * (n + 1)),
+            lambda n: " -> ".join(["a"] * (n + 1)),
+            lambda n: "a & (" * (n // 2) + "a" + ")" * (n // 2),
+            lambda n: "!(" * (n // 2) + "a" + ")" * (n // 2),
+        ],
+        ids=["negations", "parentheses", "conjunction", "implication", "right-nested", "negated-groups"],
+    )
+    def test_deepest_accepted_formula_evaluates_and_prints(self, sig2, shape):
+        f = parse_formula(shape(MAX_FORMULA_DEPTH), sig2)
+        assert models(f, sig2) == models(parse_formula(format_formula(f), sig2), sig2)
+        with pytest.raises(FormulaSyntaxError):
+            parse_formula(shape(MAX_FORMULA_DEPTH + 2), sig2)
+
+    def test_unexpected_character_still_reported_first(self, sig2):
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse_formula("!" * 3000 + "a + b", sig2)
+        assert str(exc.value) == f"unexpected character '+' (at position {3002})"
+
+    @pytest.mark.parametrize("atoms", ["abc", "abcdefgh"])
+    def test_program_built_formulas_parse_back(self, atoms):
+        # the deepest texts the program writes: a class's canonical formula,
+        # up to the 255-world set at eight atoms, under a double negation
+        sig = Signature(tuple(atoms))
+        masks = range(sig.universe + 1) if sig.n_atoms == 3 else [sig.universe >> 1]
+        for m in masks:
+            f = Not(Not(formula_from_worldset(m, sig)))
+            assert parse_formula(format_formula(f), sig) == f
+            assert models(f, sig) == m
 
 
 class TestModels:
