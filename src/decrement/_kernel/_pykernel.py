@@ -122,11 +122,39 @@ def min_rank_mask(ranks, smask: int) -> int:
 
 
 def layer_masks(ranks) -> list[int]:
-    """World-set mask of each layer of a compressed vector, rank 0 first."""
+    """World-set mask of each layer of a rank vector, rank 0 first.
+
+    A rank that no world takes gives an empty layer; a negative rank is a
+    ValueError.
+    """
+    if min(ranks) < 0:
+        raise ValueError(f"negative rank in {tuple(ranks)}")
     masks = [0] * (max(ranks) + 1)
-    for w, r in enumerate(ranks):
-        masks[r] |= 1 << w
+    bit = 1
+    for r in ranks:
+        masks[r] |= bit
+        bit <<= 1
     return masks
+
+
+# The worlds of each world-set mask of up to MAX_UNIVERSE worlds, ascending:
+# _WORLDS[m | 1 << w] is _WORLDS[m] + (w,) for every m below 1 << w.
+_WORLDS = [()]
+for _w in range(MAX_UNIVERSE):
+    _WORLDS += [worlds + (_w,) for worlds in _WORLDS]
+_WORLDS = tuple(_WORLDS)
+del _w
+
+
+def _frontal_of_layers(layers, amask: int, counter: int) -> int:
+    # frontal_bits from the layer masks; step_ranks has them already
+    out = 0
+    below = 0
+    for layer, above in zip(layers, layers[1:] + [0]):
+        if not below & amask and not above & counter:
+            out |= layer & counter
+        below = layer
+    return out
 
 
 def frontal_bits(ranks, amask: int) -> int:
@@ -135,68 +163,67 @@ def frontal_bits(ranks, amask: int) -> int:
     A counter-world is frontal when no alpha-world sits one layer below it
     and no counter-world sits one layer above it.
     """
-    n = len(ranks)
-    full = (1 << n) - 1
+    full = (1 << len(ranks)) - 1
     amask &= full
-    out = 0
-    for w in range(n):
-        if (amask >> w) & 1:
-            continue
-        r = ranks[w]
-        ok = True
-        for w2 in range(n):
-            r2 = ranks[w2]
-            in_a = (amask >> w2) & 1
-            if in_a and r2 == r - 1:
-                ok = False
-                break
-            if not in_a and r2 == r + 1:
-                ok = False
-                break
-        if ok:
-            out |= 1 << w
-    return out
+    return _frontal_of_layers(layer_masks(ranks), amask, full & ~amask)
 
 
 def step_ranks(ranks, amask: int, kind: int) -> tuple:
-    """One operator step on a rank vector.
+    """One operator step on a rank vector of 1..MAX_UNIVERSE worlds.
 
     Identity when alpha is a tautology over the universe or is not believed
-    (some rank-0 world is a counter-world).  Otherwise:
+    (some rank-0 world is a counter-world).  Otherwise, with L[j] the
+    worlds of rank j:
 
-    * type-1: alpha-world at rank r keeps key 2r, counter-world gets 2r-2;
-    * type-2: frontal counter-worlds keep key 2r instead of dropping;
+    * type-1: alpha-worlds keep their layer and counter-worlds drop one, so
+      new layer j is (alpha & L[j]) | (counter & L[j + 1]);
+    * type-2: as type-1, except frontal counter-worlds keep their layer;
     * instant: rank-0 worlds plus the minimal counter-worlds form the new
-      bottom layer, everything else keeps its old rank shifted up by one.
+      bottom layer, and every other world keeps its layer, shifted up one.
 
-    The resulting keys are compressed back to consecutive ranks.
+    Empty layers are dropped, so the result is compressed.  A negative
+    rank is a ValueError; the kind code is read past the identity branch
+    only, where an unknown code is a ValueError.
     """
     n = len(ranks)
+    if not 1 <= n <= MAX_UNIVERSE:  # inline: runs once per operator-table miss
+        _check_universe(n)
     full = (1 << n) - 1
     amask &= full
-    ranks = tuple(ranks)
-    bel = bel_mask(ranks)
-    if amask == full:
-        return ranks
-    if bel & ~amask:
-        return ranks
+    layers = layer_masks(ranks)
+    if amask == full or layers[0] & ~amask:
+        return tuple(ranks)
+    counter = full & ~amask
+    out = [0] * n
     if kind == KIND_INSTANT:
-        promoted = bel | min_rank_mask(ranks, full & ~amask)
-        keys = [0 if (promoted >> w) & 1 else ranks[w] + 1 for w in range(n)]
-        return compress_keys(keys)
-    if kind not in (KIND_TYPE1, KIND_TYPE2):
+        for layer in layers:  # the lowest layer that holds a counter-world
+            if layer & counter:
+                promoted = layers[0] | (layer & counter)
+                break
+        r = 1
+        for layer in layers:  # the promoted worlds keep the 0s of out
+            layer &= ~promoted
+            if layer:
+                for w in _WORLDS[layer]:
+                    out[w] = r
+                r += 1
+        return tuple(out)
+    if kind == KIND_TYPE1:
+        drop = counter
+    elif kind == KIND_TYPE2:
+        drop = counter & ~_frontal_of_layers(layers, amask, counter)
+    else:
         raise ValueError(f"unknown operator kind code {kind}")
-    frontal = frontal_bits(ranks, amask) if kind == KIND_TYPE2 else 0
-    keys = []
-    for w in range(n):
-        r = ranks[w]
-        if (amask >> w) & 1:
-            keys.append(2 * r)
-        elif (frontal >> w) & 1:
-            keys.append(2 * r)
-        else:
-            keys.append(2 * r - 2)
-    return compress_keys(keys)
+    keep = full & ~drop
+    layers.append(0)
+    r = 0
+    for j in range(len(layers) - 1):
+        layer = (layers[j] & keep) | (layers[j + 1] & drop)
+        if layer:
+            for w in _WORLDS[layer]:
+                out[w] = r
+            r += 1
+    return tuple(out)
 
 
 def dr_violation(before, after, amask: int, cmask: int, *, frontal=None):

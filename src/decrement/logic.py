@@ -69,6 +69,7 @@ class Signature:
                 raise ValueError(f"duplicate atom name {name!r}")
             seen.add(name)
         object.__setattr__(self, "_index", {a: i for i, a in enumerate(self.atoms)})
+        object.__setattr__(self, "_atom_masks", _AtomMasks(self._index))
 
     @property
     def n_atoms(self) -> int:
@@ -92,6 +93,22 @@ class Signature:
     def atom_models(self, index: int) -> int:
         """World-set mask of the worlds that make atom ``index`` true."""
         return _atom_models(self.n_atoms, index)
+
+
+class _AtomMasks(dict):
+    """Atom name -> world-set mask, for the signature whose atom index it
+    is given.  Each mask is made on first use (a 26-atom one spans 2**26
+    bits); an undeclared name is an UnknownAtomError."""
+
+    def __init__(self, index: dict[str, int]) -> None:
+        super().__init__()
+        self.index = index
+
+    def __missing__(self, name: str) -> int:
+        if name not in self.index:
+            raise UnknownAtomError(name)
+        mask = self[name] = _atom_models(len(self.index), self.index[name])
+        return mask
 
 
 def _atom_models(n_atoms: int, index: int) -> int:
@@ -314,7 +331,12 @@ def parse_formula(text: str, sig: Signature) -> Formula:
             raise _parse_error(text, pos - 1, None)
         raise _parse_error(text, pos - 1, f"unexpected token {tok!r}")
 
-    node = binary(1, 0)
+    try:
+        node = binary(1, 0)
+    finally:
+        # binary and unary call each other, so each closure holds the
+        # other: emptying their cells frees them without the collector.
+        binary = unary = None
     if tokens[pos]:
         raise _parse_error(text, pos, f"unexpected token {tokens[pos]!r}")
     if height > MAX_FORMULA_DEPTH:
@@ -375,37 +397,33 @@ _NODE_CLASSES = (Atom, Not, And, Or, Implies, Iff, Top, Bottom)
 
 def models(f: Formula, sig: Signature) -> int:
     """World-set mask of the models of ``f`` under classical semantics."""
-    universe = sig.universe
-    n_atoms = sig.n_atoms
-    atom_masks: dict[str, int] = {}
+    return _models(f, sig.universe, sig._atom_masks)
 
-    def walk(node: Formula) -> int:
-        kind = type(node)
-        if kind is Atom:
-            mask = atom_masks.get(node.name)
-            if mask is None:
-                mask = atom_masks[node.name] = _atom_models(n_atoms, sig.atom_index(node.name))
-            return mask
-        if kind is And:
-            return walk(node.left) & walk(node.right)
-        if kind is Not:
-            return universe & ~walk(node.operand)
-        if kind is Or:
-            return walk(node.left) | walk(node.right)
-        if kind is Implies:
-            return universe & (~walk(node.left) | walk(node.right))
-        if kind is Iff:
-            return universe & ~(walk(node.left) ^ walk(node.right))
-        if kind is Top:
-            return universe
-        if kind is Bottom:
-            return 0
-        for base in _NODE_CLASSES:  # a subclass evaluates as its node class
-            if isinstance(node, base):
-                return walk(base(*(getattr(node, field.name) for field in fields(base))))
-        raise TypeError(f"not a formula node: {node!r}")
 
-    return walk(f)
+def _models(node: Formula, universe: int, atom_masks: _AtomMasks) -> int:
+    # One module-level function with its state as arguments: a call
+    # allocates no closure, cell or dict.
+    kind = type(node)
+    if kind is Atom:
+        return atom_masks[node.name]
+    if kind is And:
+        return _models(node.left, universe, atom_masks) & _models(node.right, universe, atom_masks)
+    if kind is Not:
+        return universe & ~_models(node.operand, universe, atom_masks)
+    if kind is Or:
+        return _models(node.left, universe, atom_masks) | _models(node.right, universe, atom_masks)
+    if kind is Implies:
+        return universe & (~_models(node.left, universe, atom_masks) | _models(node.right, universe, atom_masks))
+    if kind is Iff:
+        return universe & ~(_models(node.left, universe, atom_masks) ^ _models(node.right, universe, atom_masks))
+    if kind is Top:
+        return universe
+    if kind is Bottom:
+        return 0
+    for base in _NODE_CLASSES:  # a subclass evaluates as its node class
+        if isinstance(node, base):
+            return _models(base(*(getattr(node, field.name) for field in fields(base))), universe, atom_masks)
+    raise TypeError(f"not a formula node: {node!r}")
 
 
 def entails(f: Formula, g: Formula, sig: Signature) -> bool:

@@ -21,11 +21,11 @@ with a tautological alpha) returns the state unchanged.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 
 from decrement import _kernel
-from decrement._kernel import bel_mask as _bel_mask  # a global: achieve_bel calls it per case
+from decrement._kernel import bel_mask as _bel_mask  # a global: called per achieve-table miss
 from decrement.logic import Formula, models
 from decrement.preorder import TotalPreorder, min_of
 from decrement.state import EpistemicState, belief_models, believes
@@ -78,41 +78,165 @@ class AchieveResult:
 # --- mask-level core ---------------------------------------------------------
 #
 # The checker quantifies over thousands of (rank vector, formula mask)
-# pairs, so the core works on plain tuples and masks with memoisation.
+# pairs, so the core works on plain tuples and masks, memoised in two
+# tables of at most TABLE_SIZE entries each.  A table maps bytes to bytes:
+# the key is the rank vector, then the alpha mask cut to the universe and
+# the kind code.  Neither is a container, so CPython never tracks the
+# table's dicts and no garbage collection walks them.
 
-@lru_cache(maxsize=1 << 18)
+TABLE_SIZE = 1 << 18
+_SHARDS = 16
+_SHARD_MASK = _SHARDS - 1  # a key's shard is its hash & _SHARD_MASK
+
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+_NO_CALL = ((), None, None, None)  # a table's ``last`` before its first call
+
+
+class _Table:
+    """A memo table with functools-style counters: every lookup is a hit
+    or a miss, and every miss stores one entry.
+
+    The entries are spread over _SHARDS dicts by the key's hash.  A shard
+    that holds TABLE_SIZE // _SHARDS entries is emptied before it stores
+    another: O(1) a miss amortised, and no miss frees or rehashes more than
+    one shard's worth, so no single call pays for the whole table.
+
+    ``last`` holds the arguments and answer of the latest call that
+    step_ranks or achieve_bel looked up.  The checker repeats its previous
+    call for about two in five lookups, and comparing the arguments costs
+    less than building a key.
+    """
+
+    __slots__ = ("shards", "hits", "misses", "last")
+
+    def __init__(self) -> None:
+        self.shards = tuple({} for _ in range(_SHARDS))
+        self.hits = 0
+        self.misses = 0
+        self.last = _NO_CALL
+
+    def store(self, shard: dict, key: bytes, value: bytes) -> bytes:
+        self.misses += 1
+        bound = TABLE_SIZE // _SHARDS
+        if len(shard) >= bound:
+            shard.clear()
+        if bound:
+            shard[key] = value
+        return value
+
+    def cache_info(self) -> CacheInfo:
+        return CacheInfo(self.hits, self.misses, TABLE_SIZE, sum(map(len, self.shards)))
+
+    def cache_clear(self) -> None:
+        for shard in self.shards:
+            shard.clear()
+        self.hits = self.misses = 0
+        self.last = _NO_CALL
+
+
+_STEPS = _Table()
+_ACHIEVED = _Table()
+_STEP_SHARDS = _STEPS.shards
+_ACHIEVED_SHARDS = _ACHIEVED.shards
+
+# The key suffix of each kind code and alpha mask of up to 8 worlds.  An
+# unknown code (KeyError) or a wider mask (IndexError) has none.
+_SUFFIXES = {code: tuple([bytes((amask, code)) for amask in range(256)]) for code in _KIND_CODES.values()}
+_NO_KEY = (TypeError, ValueError, KeyError, IndexError)  # bytes() rejects a negative rank
+
+
 def step_ranks(ranks: tuple, amask: int, code: int) -> tuple:
-    return _kernel.step_ranks(ranks, amask, code)
+    """``_kernel.step_ranks``, memoised.
+
+    Arguments with no key (a negative rank, an unknown kind code, a mask
+    past 8 worlds) go to the kernel unstored and uncounted, so that the
+    kernel's own error reports them.
+    """
+    last = _STEPS.last
+    if ranks == last[0] and amask == last[1] and code == last[2]:
+        _STEPS.hits += 1
+        return last[3]
+    try:
+        key = bytes(ranks) + _SUFFIXES[code][amask & ((1 << len(ranks)) - 1)]
+    except _NO_KEY:
+        return _kernel.step_ranks(ranks, amask, code)
+    shard = _STEP_SHARDS[hash(key) & _SHARD_MASK]
+    got = shard.get(key)
+    if got is None:
+        got = _STEPS.store(shard, key, bytes(_kernel.step_ranks(ranks, amask, code)))
+    else:
+        _STEPS.hits += 1
+    got = tuple(got)
+    _STEPS.last = tuple(ranks), amask, code, got  # a list argument may change later
+    return got
 
 
-@lru_cache(maxsize=1 << 18)
+def _achieve(ranks: tuple, amask: int, code: int) -> tuple:
+    """Steps until alpha is no longer believed: the final ranks, then the
+    step count and the final belief mask, as the achieve table stores them."""
+    full = (1 << len(ranks)) - 1
+    amask &= full
+    final, steps, bel = ranks, 0, _bel_mask(ranks)
+    if amask != full and not bel & ~amask:
+        for steps in range(1, max(ranks) + 2):
+            final = step_ranks(final, amask, code)
+            bel = _bel_mask(final)
+            if bel & ~amask:
+                break
+        else:
+            raise HesitanceViolationError(
+                f"belief not dropped within {steps} steps (kind code {code})"
+            )
+    return (*final, steps, bel)
+
+
 def achieve_ranks(ranks: tuple, amask: int, code: int) -> tuple[tuple, int]:
     """Apply step_ranks until alpha is no longer believed.
 
     Returns (final ranks, step count); zero steps for tautologies and for
-    formulas not believed in the first place.
+    formulas not believed in the first place.  Memoised as step_ranks is.
     """
-    n = len(ranks)
-    full = (1 << n) - 1
-    amask &= full
-    if amask == full:
-        return ranks, 0
-    if _bel_mask(ranks) & ~amask:
-        return ranks, 0
-    bound = max(ranks) + 1
-    cur = ranks
-    for steps in range(1, bound + 1):
-        cur = step_ranks(cur, amask, code)
-        if _bel_mask(cur) & ~amask:
-            return cur, steps
-    raise HesitanceViolationError(
-        f"belief not dropped within {bound} steps (kind code {code})"
-    )
+    try:
+        key = bytes(ranks) + _SUFFIXES[code][amask & ((1 << len(ranks)) - 1)]
+    except _NO_KEY:
+        entry = _achieve(ranks, amask, code)
+        return entry[:-2], entry[-2]
+    shard = _ACHIEVED_SHARDS[hash(key) & _SHARD_MASK]
+    got = shard.get(key)
+    if got is None:
+        got = _ACHIEVED.store(shard, key, bytes(_achieve(ranks, amask, code)))
+    else:
+        _ACHIEVED.hits += 1
+    return tuple(got[:-2]), got[-2]
 
 
 def achieve_bel(ranks: tuple, amask: int, code: int) -> int:
     """Belief models after achieving the drop of alpha."""
-    return _bel_mask(achieve_ranks(ranks, amask, code)[0])
+    # achieve_ranks's table and lookup, inline: the checker calls this once
+    # per case
+    last = _ACHIEVED.last
+    if ranks == last[0] and amask == last[1] and code == last[2]:
+        _ACHIEVED.hits += 1
+        return last[3][-1]
+    try:
+        key = bytes(ranks) + _SUFFIXES[code][amask & ((1 << len(ranks)) - 1)]
+    except _NO_KEY:
+        return _achieve(ranks, amask, code)[-1]
+    shard = _ACHIEVED_SHARDS[hash(key) & _SHARD_MASK]
+    got = shard.get(key)
+    if got is None:
+        got = _ACHIEVED.store(shard, key, bytes(_achieve(ranks, amask, code)))
+    else:
+        _ACHIEVED.hits += 1
+    _ACHIEVED.last = tuple(ranks), amask, code, got  # a list argument may change later
+    return got[-1]
+
+
+step_ranks.cache_info = _STEPS.cache_info
+step_ranks.cache_clear = _STEPS.cache_clear
+achieve_ranks.cache_info = _ACHIEVED.cache_info
+achieve_ranks.cache_clear = _ACHIEVED.cache_clear
 
 
 def giveup_leq_masks(ranks: tuple, a: int, b: int, code: int) -> bool:
@@ -128,10 +252,15 @@ def giveup_lt_masks(ranks: tuple, a: int, b: int, code: int) -> bool:
 def giveup_ll_masks(ranks: tuple, a: int, b: int, code: int) -> bool:
     # giveup_lt_masks(a, b), then giveup_lt_masks(a, g) and
     # giveup_lt_masks(g, b) for every class g, reading each class's belief
-    # once per call, in the order giveup_lt_masks reads them.
+    # once per call, in the order giveup_lt_masks reads them.  Achieving a
+    # class that is not believed, or the tautology, keeps the belief.
     memo: dict[int, int] = {}
+    bel0 = _bel_mask(ranks)
+    full = (1 << len(ranks)) - 1
 
     def bel(mask: int) -> int:
+        if bel0 & ~mask or mask & full == full:
+            return bel0
         got = memo.get(mask)
         if got is None:
             got = memo[mask] = achieve_bel(ranks, mask, code)
@@ -168,9 +297,10 @@ def induced_ranks(ranks: tuple, code: int) -> tuple:
     full = (1 << n) - 1
     rel = [[False] * n for _ in range(n)]
     for w1 in range(n):
-        for w2 in range(n):
-            target = full & ~((1 << w1) | (1 << w2))
-            rel[w1][w2] = bool(achieve_bel(ranks, target, code) >> w1 & 1)
+        for w2 in range(w1, n):  # the target is symmetric: one achieve per pair
+            bel = achieve_bel(ranks, full & ~((1 << w1) | (1 << w2)), code)
+            rel[w1][w2] = bool(bel >> w1 & 1)
+            rel[w2][w1] = bool(bel >> w2 & 1)
     for w1 in range(n):
         for w2 in range(n):
             if not rel[w1][w2] and not rel[w2][w1]:
@@ -229,7 +359,12 @@ def achieve(state: EpistemicState, alpha: Formula, kind: OperatorKind) -> Achiev
 
 
 def frontal(world: int, alpha: Formula, state: EpistemicState) -> bool:
-    """Frontality of a counter-world of alpha; False for alpha-worlds."""
+    """Frontality of a counter-world of alpha; False for alpha-worlds.
+
+    Raises ValueError for a world outside the state's universe.
+    """
+    if not 0 <= world < state.sig.n_worlds:
+        raise ValueError(f"world {world} outside universe 0..{state.sig.n_worlds - 1}")
     amask = models(alpha, state.sig)
     if (amask >> world) & 1:
         return False

@@ -166,6 +166,20 @@ class TestInputChecks:
         # alpha is not believed: the step returns the order before reading the kind
         assert _kernel.step_ranks((1, 0), 0b01, 9) == (1, 0)
 
+    @pytest.mark.parametrize("n", [0, 9])
+    def test_step_universe_outside_bounds(self, n):
+        with pytest.raises(ValueError):
+            _kernel.step_ranks((0,) * n, 1, _kernel.KIND_TYPE1)
+
+    def test_negative_rank(self):
+        with pytest.raises(ValueError, match="negative rank"):
+            _kernel.layer_masks((0, -1))
+        with pytest.raises(ValueError, match="negative rank"):
+            _kernel.frontal_bits((0, -1), 0b01)
+        for amask in (0b01, 0b10):  # alpha believed, and not
+            with pytest.raises(ValueError, match="negative rank"):
+                _kernel.step_ranks((0, -1), amask, _kernel.KIND_TYPE1)
+
 
 class TestWeakOrderCount:
     @pytest.mark.parametrize("n", range(1, 7))

@@ -3,15 +3,22 @@
 The tokenizer, parser, ``models`` and ``giveup_ll_masks`` below are the
 previous ones, kept verbatim as references: a tokenizer loop and a parser
 class, a recursive ``models`` that re-reads the signature at every node,
-and a give-up scan that asks ``giveup_lt_masks`` twice per class.  The
-library's versions must agree with them on every input, errors included.
+a ``models`` that walks a per-call closure, a give-up scan that asks
+``giveup_lt_masks`` twice per class, and the kernel's per-world
+``frontal_bits`` and ``step_ranks`` with their sort-based key
+compression.  The library's versions must agree with them on every input,
+errors included.
 """
+
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from decrement import _kernel
+from decrement._kernel import KIND_INSTANT, KIND_TYPE1, KIND_TYPE2, bel_mask, compress_keys, min_rank_mask
 from decrement.logic import (
+    _NODE_CLASSES,
     ATOM_PATTERN,
     BOTTOM,
     TOP,
@@ -28,6 +35,7 @@ from decrement.logic import (
     Signature,
     Top,
     UnknownAtomError,
+    _atom_models,
     models,
     parse_formula,
 )
@@ -180,6 +188,111 @@ def reference_models(f: Formula, sig: Signature) -> int:
     raise TypeError(f"not a formula node: {f!r}")
 
 
+def closure_models(f: Formula, sig: Signature) -> int:
+    """World-set mask of the models of ``f`` under classical semantics."""
+    universe = sig.universe
+    n_atoms = sig.n_atoms
+    atom_masks: dict[str, int] = {}
+
+    def walk(node: Formula) -> int:
+        kind = type(node)
+        if kind is Atom:
+            mask = atom_masks.get(node.name)
+            if mask is None:
+                mask = atom_masks[node.name] = _atom_models(n_atoms, sig.atom_index(node.name))
+            return mask
+        if kind is And:
+            return walk(node.left) & walk(node.right)
+        if kind is Not:
+            return universe & ~walk(node.operand)
+        if kind is Or:
+            return walk(node.left) | walk(node.right)
+        if kind is Implies:
+            return universe & (~walk(node.left) | walk(node.right))
+        if kind is Iff:
+            return universe & ~(walk(node.left) ^ walk(node.right))
+        if kind is Top:
+            return universe
+        if kind is Bottom:
+            return 0
+        for base in _NODE_CLASSES:  # a subclass evaluates as its node class
+            if isinstance(node, base):
+                return walk(base(*(getattr(node, field.name) for field in fields(base))))
+        raise TypeError(f"not a formula node: {node!r}")
+
+    return walk(f)
+
+
+def reference_frontal_bits(ranks, amask: int) -> int:
+    """Mask of counter-worlds of alpha that are frontal in the order.
+
+    A counter-world is frontal when no alpha-world sits one layer below it
+    and no counter-world sits one layer above it.
+    """
+    n = len(ranks)
+    full = (1 << n) - 1
+    amask &= full
+    out = 0
+    for w in range(n):
+        if (amask >> w) & 1:
+            continue
+        r = ranks[w]
+        ok = True
+        for w2 in range(n):
+            r2 = ranks[w2]
+            in_a = (amask >> w2) & 1
+            if in_a and r2 == r - 1:
+                ok = False
+                break
+            if not in_a and r2 == r + 1:
+                ok = False
+                break
+        if ok:
+            out |= 1 << w
+    return out
+
+
+def reference_step_ranks(ranks, amask: int, kind: int) -> tuple:
+    """One operator step on a rank vector.
+
+    Identity when alpha is a tautology over the universe or is not believed
+    (some rank-0 world is a counter-world).  Otherwise:
+
+    * type-1: alpha-world at rank r keeps key 2r, counter-world gets 2r-2;
+    * type-2: frontal counter-worlds keep key 2r instead of dropping;
+    * instant: rank-0 worlds plus the minimal counter-worlds form the new
+      bottom layer, everything else keeps its old rank shifted up by one.
+
+    The resulting keys are compressed back to consecutive ranks.
+    """
+    n = len(ranks)
+    full = (1 << n) - 1
+    amask &= full
+    ranks = tuple(ranks)
+    bel = bel_mask(ranks)
+    if amask == full:
+        return ranks
+    if bel & ~amask:
+        return ranks
+    if kind == KIND_INSTANT:
+        promoted = bel | min_rank_mask(ranks, full & ~amask)
+        keys = [0 if (promoted >> w) & 1 else ranks[w] + 1 for w in range(n)]
+        return compress_keys(keys)
+    if kind not in (KIND_TYPE1, KIND_TYPE2):
+        raise ValueError(f"unknown operator kind code {kind}")
+    frontal = reference_frontal_bits(ranks, amask) if kind == KIND_TYPE2 else 0
+    keys = []
+    for w in range(n):
+        r = ranks[w]
+        if (amask >> w) & 1:
+            keys.append(2 * r)
+        elif (frontal >> w) & 1:
+            keys.append(2 * r)
+        else:
+            keys.append(2 * r - 2)
+    return compress_keys(keys)
+
+
 def reference_giveup_ll_masks(ranks: tuple, a: int, b: int, code: int) -> bool:
     if not giveup_lt_masks(ranks, a, b, code):
         return False
@@ -276,22 +389,36 @@ class _Always(Top):
     pass
 
 
+class _Named(Atom):
+    pass
+
+
 class TestModelsOracle:
     @given(case=signatures_and_formulas())
     @settings(max_examples=250, deadline=None)
     def test_random_trees(self, case):
         sig, f = case
-        assert models(f, sig) == reference_models(f, sig)
+        assert models(f, sig) == reference_models(f, sig) == closure_models(f, sig)
 
     def test_subclasses_evaluate_as_their_node_class(self):
-        f = Or(_Both(Atom("a"), Not(Atom("b"))), Not(_Always()))
-        assert models(f, SIG3) == reference_models(f, SIG3) == 0b00100010
+        f = Or(_Both(Atom("a"), Not(_Named("b"))), Not(_Always()))
+        assert models(f, SIG3) == reference_models(f, SIG3) == closure_models(f, SIG3) == 0b00100010
 
-    def test_errors(self):
-        with pytest.raises(UnknownAtomError):
-            models(And(Atom("a"), Atom("z")), SIG3)
+    @pytest.mark.parametrize("evaluate", [models, closure_models])
+    def test_errors(self, evaluate):
+        with pytest.raises(UnknownAtomError, match="'z'"):
+            evaluate(And(Atom("a"), Atom("z")), SIG3)
+        with pytest.raises(UnknownAtomError):  # an undeclared name is not remembered as one
+            evaluate(Or(Atom("z"), Atom("a")), SIG3)
         with pytest.raises(TypeError):
-            models(Not("a"), SIG3)
+            evaluate(Not("a"), SIG3)
+
+    def test_signatures_keep_their_own_atom_masks(self):
+        # the same name in signatures of different sizes, in either order
+        small, large = Signature(("a",)), Signature(("b", "a"))
+        for _ in range(2):
+            assert models(Atom("a"), small) == closure_models(Atom("a"), small) == 0b10
+            assert models(Atom("a"), large) == closure_models(Atom("a"), large) == 0b1100
 
 
 # --- giveup_ll_masks ----------------------------------------------------------
@@ -327,3 +454,46 @@ class TestGiveupOracle:
             a |= _kernel.bel_mask(ranks)
             b |= _kernel.bel_mask(ranks)
         assert giveup_ll_masks(ranks, a, b, code) == reference_giveup_ll_masks(ranks, a, b, code)
+
+
+# --- frontal_bits and step_ranks ----------------------------------------------
+
+KIND_CODES = (KIND_TYPE1, KIND_TYPE2, KIND_INSTANT)
+
+
+class TestStepOracle:
+    def test_every_order_mask_and_kind_up_to_five_worlds(self):
+        compared = 0
+        for n in range(1, 6):
+            for ranks in _kernel.weak_order_ranks(n):
+                for amask in range(1 << n):
+                    assert _kernel.frontal_bits(ranks, amask) == reference_frontal_bits(ranks, amask)
+                    for code in KIND_CODES:
+                        got = _kernel.step_ranks(ranks, amask, code)
+                        assert got == reference_step_ranks(ranks, amask, code), (ranks, amask, code)
+                        compared += 1
+        assert compared == 55_890
+
+    @given(
+        keys=st.integers(6, 8).flatmap(lambda n: st.lists(st.integers(0, n - 1), min_size=n, max_size=n)),
+        amask=st.integers(0, 255),
+        believed=st.booleans(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_six_to_eight_worlds(self, keys, amask, believed):
+        ranks = compress_keys(keys)
+        if believed:  # a believed alpha, so that the step moves worlds more often
+            amask |= bel_mask(ranks)
+        assert _kernel.frontal_bits(ranks, amask) == reference_frontal_bits(ranks, amask)
+        for code in KIND_CODES:
+            assert _kernel.step_ranks(ranks, amask, code) == reference_step_ranks(ranks, amask, code)
+
+    @given(
+        ranks=st.integers(1, 8).flatmap(lambda n: st.lists(st.integers(0, 2 * n), min_size=n, max_size=n)),
+        amask=st.integers(0, 1023),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_uncompressed_vectors_and_wide_masks(self, ranks, amask):
+        assert _kernel.frontal_bits(ranks, amask) == reference_frontal_bits(ranks, amask)
+        for code in KIND_CODES:
+            assert _kernel.step_ranks(ranks, amask, code) == reference_step_ranks(ranks, amask, code)
