@@ -146,6 +146,16 @@ _WORLDS = tuple(_WORLDS)
 del _w
 
 
+class _WideWorlds:
+    """_WORLDS for a mask of any width, computed on each lookup."""
+
+    def __getitem__(self, mask: int) -> list[int]:
+        return [w for w in range(mask.bit_length()) if mask >> w & 1]
+
+
+_WIDE_WORLDS = _WideWorlds()
+
+
 def _frontal_of_layers(layers, amask: int, counter: int) -> int:
     # frontal_bits from the layer masks; step_ranks has them already
     out = 0
@@ -169,7 +179,7 @@ def frontal_bits(ranks, amask: int) -> int:
 
 
 def step_ranks(ranks, amask: int, kind: int) -> tuple:
-    """One operator step on a rank vector of 1..MAX_UNIVERSE worlds.
+    """One operator step on a rank vector of one world or more.
 
     Identity when alpha is a tautology over the universe or is not believed
     (some rank-0 world is a counter-world).  Otherwise, with L[j] the
@@ -181,13 +191,14 @@ def step_ranks(ranks, amask: int, kind: int) -> tuple:
     * instant: rank-0 worlds plus the minimal counter-worlds form the new
       bottom layer, and every other world keeps its layer, shifted up one.
 
-    Empty layers are dropped, so the result is compressed.  A negative
-    rank is a ValueError; the kind code is read past the identity branch
-    only, where an unknown code is a ValueError.
+    Empty layers are dropped, so the result is compressed.  An empty vector
+    or a negative rank is a ValueError; the kind code is read past the
+    identity branch only, where an unknown code is a ValueError.
     """
     n = len(ranks)
-    if not 1 <= n <= MAX_UNIVERSE:  # inline: runs once per operator-table miss
-        _check_universe(n)
+    if not n:
+        raise ValueError("step on an empty rank vector")
+    worlds = _WORLDS if n <= MAX_UNIVERSE else _WIDE_WORLDS
     full = (1 << n) - 1
     amask &= full
     layers = layer_masks(ranks)
@@ -204,7 +215,7 @@ def step_ranks(ranks, amask: int, kind: int) -> tuple:
         for layer in layers:  # the promoted worlds keep the 0s of out
             layer &= ~promoted
             if layer:
-                for w in _WORLDS[layer]:
+                for w in worlds[layer]:
                     out[w] = r
                 r += 1
         return tuple(out)
@@ -220,7 +231,7 @@ def step_ranks(ranks, amask: int, kind: int) -> tuple:
     for j in range(len(layers) - 1):
         layer = (layers[j] & keep) | (layers[j + 1] & drop)
         if layer:
-            for w in _WORLDS[layer]:
+            for w in worlds[layer]:
                 out[w] = r
             r += 1
     return tuple(out)

@@ -23,8 +23,10 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import islice
 
 from decrement import _kernel
+from decrement._kernel import MAX_UNIVERSE
 from decrement._kernel import bel_mask as _bel_mask  # a global: called per achieve-table miss
 from decrement.logic import Formula, models
 from decrement.preorder import TotalPreorder, min_of
@@ -98,29 +100,35 @@ class _Table:
     or a miss, and every miss stores one entry.
 
     The entries are spread over _SHARDS dicts by the key's hash.  A shard
-    that holds TABLE_SIZE // _SHARDS entries is emptied before it stores
-    another: O(1) a miss amortised, and no miss frees or rehashes more than
-    one shard's worth, so no single call pays for the whole table.
+    that holds TABLE_SIZE // _SHARDS entries drops its oldest quarter, in
+    the order the dict keeps them, before it stores another: O(1) a miss
+    amortised, and no miss copies more than one shard.  The three-atom
+    matrix reuses a step entry soon after storing it, so first-in
+    first-out keeps nearly the hits a least-recently-used table would,
+    where emptying a whole shard lost a third of them.  The shard is
+    replaced by a copy of the entries it keeps: a dict never shrinks on
+    deletion, and one that deletes and stores in place regrows to twice
+    the size.
 
-    ``last`` holds the arguments and answer of the latest call that
-    step_ranks or achieve_bel looked up.  The checker repeats its previous
-    call for about two in five lookups, and comparing the arguments costs
-    less than building a key.
+    ``last`` holds the arguments and answer of the table's latest keyed
+    call.  The checker repeats its previous call for about two in five
+    lookups, and comparing the arguments costs less than building a key.
     """
 
     __slots__ = ("shards", "hits", "misses", "last")
 
     def __init__(self) -> None:
-        self.shards = tuple({} for _ in range(_SHARDS))
+        self.shards = [{} for _ in range(_SHARDS)]
         self.hits = 0
         self.misses = 0
         self.last = _NO_CALL
 
-    def store(self, shard: dict, key: bytes, value: bytes) -> bytes:
+    def store(self, index: int, key: bytes, value: bytes) -> bytes:
         self.misses += 1
         bound = TABLE_SIZE // _SHARDS
+        shard = self.shards[index]
         if len(shard) >= bound:
-            shard.clear()
+            shard = self.shards[index] = dict(islice(shard.items(), max(1, bound >> 2), None))
         if bound:
             shard[key] = value
         return value
@@ -141,18 +149,20 @@ _STEP_SHARDS = _STEPS.shards
 _ACHIEVED_SHARDS = _ACHIEVED.shards
 
 # The key suffix of each kind code and alpha mask of up to 8 worlds.  An
-# unknown code (KeyError) or a wider mask (IndexError) has none.
+# unknown code (KeyError), a wider mask (IndexError) or a rank outside
+# 0..255 (ValueError, TypeError) gives a call no key.
 _SUFFIXES = {code: tuple([bytes((amask, code)) for amask in range(256)]) for code in _KIND_CODES.values()}
-_NO_KEY = (TypeError, ValueError, KeyError, IndexError)  # bytes() rejects a negative rank
+_NO_KEY = (TypeError, ValueError, KeyError, IndexError)
+
+# step_ranks and _achieved build the key inline: a call costs about as
+# much as the rest of a hit, and the two-atom matrix is nearly all hits.
+# A call with no key, or on more than MAX_UNIVERSE worlds (whose belief
+# mask does not fit the achieve value's byte), goes to the kernel unstored
+# and uncounted, so that the kernel's own error reports a bad argument.
 
 
 def step_ranks(ranks: tuple, amask: int, code: int) -> tuple:
-    """``_kernel.step_ranks``, memoised.
-
-    Arguments with no key (a negative rank, an unknown kind code, a mask
-    past 8 worlds) go to the kernel unstored and uncounted, so that the
-    kernel's own error reports them.
-    """
+    """``_kernel.step_ranks``, memoised."""
     last = _STEPS.last
     if ranks == last[0] and amask == last[1] and code == last[2]:
         _STEPS.hits += 1
@@ -161,10 +171,12 @@ def step_ranks(ranks: tuple, amask: int, code: int) -> tuple:
         key = bytes(ranks) + _SUFFIXES[code][amask & ((1 << len(ranks)) - 1)]
     except _NO_KEY:
         return _kernel.step_ranks(ranks, amask, code)
-    shard = _STEP_SHARDS[hash(key) & _SHARD_MASK]
-    got = shard.get(key)
+    if len(ranks) > MAX_UNIVERSE:
+        return _kernel.step_ranks(ranks, amask, code)
+    index = hash(key) & _SHARD_MASK
+    got = _STEP_SHARDS[index].get(key)
     if got is None:
-        got = _STEPS.store(shard, key, bytes(_kernel.step_ranks(ranks, amask, code)))
+        got = _STEPS.store(index, key, bytes(_kernel.step_ranks(ranks, amask, code)))
     else:
         _STEPS.hits += 1
     got = tuple(got)
@@ -191,46 +203,41 @@ def _achieve(ranks: tuple, amask: int, code: int) -> tuple:
     return (*final, steps, bel)
 
 
+def _achieved(ranks: tuple, amask: int, code: int):
+    """``_achieve``, memoised: bytes for a call with a key, else a tuple."""
+    last = _ACHIEVED.last
+    if ranks == last[0] and amask == last[1] and code == last[2]:
+        _ACHIEVED.hits += 1
+        return last[3]
+    try:
+        key = bytes(ranks) + _SUFFIXES[code][amask & ((1 << len(ranks)) - 1)]
+    except _NO_KEY:
+        return _achieve(ranks, amask, code)
+    if len(ranks) > MAX_UNIVERSE:
+        return _achieve(ranks, amask, code)
+    index = hash(key) & _SHARD_MASK
+    got = _ACHIEVED_SHARDS[index].get(key)
+    if got is None:
+        got = _ACHIEVED.store(index, key, bytes(_achieve(ranks, amask, code)))
+    else:
+        _ACHIEVED.hits += 1
+    _ACHIEVED.last = tuple(ranks), amask, code, got  # a list argument may change later
+    return got
+
+
 def achieve_ranks(ranks: tuple, amask: int, code: int) -> tuple[tuple, int]:
     """Apply step_ranks until alpha is no longer believed.
 
     Returns (final ranks, step count); zero steps for tautologies and for
     formulas not believed in the first place.  Memoised as step_ranks is.
     """
-    try:
-        key = bytes(ranks) + _SUFFIXES[code][amask & ((1 << len(ranks)) - 1)]
-    except _NO_KEY:
-        entry = _achieve(ranks, amask, code)
-        return entry[:-2], entry[-2]
-    shard = _ACHIEVED_SHARDS[hash(key) & _SHARD_MASK]
-    got = shard.get(key)
-    if got is None:
-        got = _ACHIEVED.store(shard, key, bytes(_achieve(ranks, amask, code)))
-    else:
-        _ACHIEVED.hits += 1
+    got = _achieved(ranks, amask, code)
     return tuple(got[:-2]), got[-2]
 
 
 def achieve_bel(ranks: tuple, amask: int, code: int) -> int:
     """Belief models after achieving the drop of alpha."""
-    # achieve_ranks's table and lookup, inline: the checker calls this once
-    # per case
-    last = _ACHIEVED.last
-    if ranks == last[0] and amask == last[1] and code == last[2]:
-        _ACHIEVED.hits += 1
-        return last[3][-1]
-    try:
-        key = bytes(ranks) + _SUFFIXES[code][amask & ((1 << len(ranks)) - 1)]
-    except _NO_KEY:
-        return _achieve(ranks, amask, code)[-1]
-    shard = _ACHIEVED_SHARDS[hash(key) & _SHARD_MASK]
-    got = shard.get(key)
-    if got is None:
-        got = _ACHIEVED.store(shard, key, bytes(_achieve(ranks, amask, code)))
-    else:
-        _ACHIEVED.hits += 1
-    _ACHIEVED.last = tuple(ranks), amask, code, got  # a list argument may change later
-    return got[-1]
+    return _achieved(ranks, amask, code)[-1]
 
 
 step_ranks.cache_info = _STEPS.cache_info
@@ -253,7 +260,8 @@ def giveup_ll_masks(ranks: tuple, a: int, b: int, code: int) -> bool:
     # giveup_lt_masks(a, b), then giveup_lt_masks(a, g) and
     # giveup_lt_masks(g, b) for every class g, reading each class's belief
     # once per call, in the order giveup_lt_masks reads them.  Achieving a
-    # class that is not believed, or the tautology, keeps the belief.
+    # class that is not believed, or the tautology, keeps the belief; that
+    # answer without a lookup makes the two-atom matrix 3% faster.
     memo: dict[int, int] = {}
     bel0 = _bel_mask(ranks)
     full = (1 << len(ranks)) - 1

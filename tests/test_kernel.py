@@ -166,10 +166,16 @@ class TestInputChecks:
         # alpha is not believed: the step returns the order before reading the kind
         assert _kernel.step_ranks((1, 0), 0b01, 9) == (1, 0)
 
-    @pytest.mark.parametrize("n", [0, 9])
-    def test_step_universe_outside_bounds(self, n):
-        with pytest.raises(ValueError):
-            _kernel.step_ranks((0,) * n, 1, _kernel.KIND_TYPE1)
+    def test_step_on_empty_vector(self):
+        with pytest.raises(ValueError, match="empty rank vector"):
+            _kernel.step_ranks((), 1, _kernel.KIND_TYPE1)
+
+    def test_step_past_max_universe(self):
+        # a step is not exhaustive: it takes a universe of any size
+        ranks = tuple(w % 3 for w in range(12))
+        amask = 0b10_0100_1001 | 1 << 10  # the rank-0 worlds and world 10
+        after = _kernel.step_ranks(ranks, amask, _kernel.KIND_TYPE1)
+        assert after == (0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 1, 1)
 
     def test_negative_rank(self):
         with pytest.raises(ValueError, match="negative rank"):

@@ -380,6 +380,17 @@ class TestOperatorTables:
         # the achieve miss steps once more
         assert step_ranks.cache_info()[:2] == (3, 1) and achieve_ranks.cache_info()[:2] == (2, 1)
 
+    def test_past_max_universe_no_entry(self):
+        # a call on more than 8 worlds has no key: the kernel answers it,
+        # and the tables neither store nor count it
+        ranks = tuple(0 if w in (0, 3, 6) else 1 + w % 2 for w in range(12))
+        amask = 0b1001001  # the rank-0 worlds: a mask of one byte
+        final, steps = achieve_ranks(ranks, amask, T1.code)
+        assert steps == 1 and final == _kernel.step_ranks(ranks, amask, T1.code)
+        assert achieve_bel(ranks, amask, T1.code) == _kernel.bel_mask(final) > 0xFF
+        assert step_ranks(ranks, amask, T1.code) == final
+        assert step_ranks.cache_info() == achieve_ranks.cache_info() == (0, 0, operators.TABLE_SIZE, 0)
+
     @pytest.mark.parametrize("size", [8, 16, 48])
     def test_bound_and_dropped_entries(self, size, monkeypatch):
         monkeypatch.setattr(operators, "TABLE_SIZE", size)
@@ -399,6 +410,17 @@ class TestOperatorTables:
         assert again.misses - info.misses == info.misses - info.currsize
         assert again.currsize == len(inputs)
 
+    def test_full_shard_drops_its_oldest_entries(self, monkeypatch):
+        monkeypatch.setattr(operators, "TABLE_SIZE", 32 * operators._SHARDS)
+        table = operators._Table()
+        keys = [bytes((i,)) for i in range(100)]
+        for key in keys:
+            table.store(0, key, b"")
+            assert len(table.shards[0]) <= 32
+        # the newest stored entries stay, eight dropped at a time
+        assert list(table.shards[0]) == keys[-28:]
+        assert table.misses == 100 and table.cache_info().currsize == 28
+
     def test_tables_are_untracked_by_the_collector(self, sig2):
         for tpo in enumerate_preorders(4):
             for kind in OperatorKind:
@@ -413,8 +435,6 @@ class TestOperatorTables:
         "ranks, amask, code, error, message",
         [
             ((1, 0), 0b10, 9, ValueError, "unknown operator kind code 9"),
-            ((0,) + (1,) * 8, 0b1, 0, _kernel.UniverseTooLargeError, "9 worlds"),
-            ((0,) + (1,) * 8, 0b100000001, 0, _kernel.UniverseTooLargeError, "9 worlds"),
             ((0, -1), 0b01, 0, ValueError, "negative rank"),
         ],
     )
@@ -423,6 +443,11 @@ class TestOperatorTables:
             with pytest.raises(error, match=message):
                 call(ranks, amask, code)
         assert step_ranks.cache_info().currsize == achieve_ranks.cache_info().currsize == 0
+
+    def test_step_on_empty_vector(self):
+        with pytest.raises(ValueError, match="empty rank vector"):
+            step_ranks((), 0b1, T1.code)
+        assert step_ranks.cache_info().currsize == 0
 
 
 class TestCollectorQuiet:

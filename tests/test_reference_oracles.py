@@ -10,6 +10,7 @@ compression.  The library's versions must agree with them on every input,
 errors included.
 """
 
+import json
 from dataclasses import fields
 
 import pytest
@@ -39,8 +40,20 @@ from decrement.logic import (
     models,
     parse_formula,
 )
-from decrement.operators import OperatorKind, giveup_ll_masks, giveup_lt_masks
-from decrement.preorder import enumerate_preorders
+from decrement.cli import main
+from decrement.operators import (
+    OperatorKind,
+    achieve,
+    achieve_ranks,
+    giveup_ll_masks,
+    giveup_lt_masks,
+    induced_order,
+    iterate,
+    step,
+    step_ranks,
+)
+from decrement.preorder import TotalPreorder, enumerate_preorders
+from decrement.state import EpistemicState, state_to_doc
 
 # --- reference implementations ------------------------------------------------
 
@@ -497,3 +510,74 @@ class TestStepOracle:
         assert _kernel.frontal_bits(ranks, amask) == reference_frontal_bits(ranks, amask)
         for code in KIND_CODES:
             assert _kernel.step_ranks(ranks, amask, code) == reference_step_ranks(ranks, amask, code)
+
+    @given(
+        keys=st.integers(9, 32).flatmap(lambda n: st.lists(st.integers(0, n - 1), min_size=n, max_size=n)),
+        amask=st.integers(0, (1 << 32) - 1),
+        believed=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_universes_past_eight_worlds(self, keys, amask, believed):
+        ranks = compress_keys(keys)
+        if believed:
+            amask |= bel_mask(ranks)
+        assert _kernel.frontal_bits(ranks, amask) == reference_frontal_bits(ranks, amask)
+        for code in KIND_CODES:
+            assert _kernel.step_ranks(ranks, amask, code) == reference_step_ranks(ranks, amask, code)
+
+
+def reference_achieve(ranks: tuple, amask: int, kind: int) -> tuple[tuple, int]:
+    # the step repeated until alpha is no longer believed
+    steps = 0
+    while amask & ((1 << len(ranks)) - 1) != (1 << len(ranks)) - 1 and not bel_mask(ranks) & ~amask:
+        ranks = reference_step_ranks(ranks, amask, kind)
+        steps += 1
+    return ranks, steps
+
+
+SIG4 = Signature(("a", "b", "c", "d"))
+WIDE_TEXTS = ("a", "a | b", "!(c & d)", "a -> (b <-> d)", "true", "!b")
+
+
+@st.composite
+def four_atom_states(draw):
+    keys = draw(st.lists(st.integers(0, 5), min_size=16, max_size=16))
+    return EpistemicState(SIG4, TotalPreorder(compress_keys(keys)))
+
+
+class TestSixteenWorlds:
+    """A four-atom state, 16 worlds, through the operator API and the CLI."""
+
+    @given(state=four_atom_states(), text=st.sampled_from(WIDE_TEXTS), kind=st.sampled_from(list(OperatorKind)))
+    @settings(max_examples=150, deadline=None)
+    def test_operator_api(self, state, text, kind):
+        ranks = state.order.ranks
+        amask = models(parse_formula(text, SIG4), SIG4)
+        once = reference_step_ranks(ranks, amask, kind.code)
+        assert step(state, parse_formula(text, SIG4), kind).order.ranks == once
+        assert step_ranks(ranks, amask, kind.code) == once
+        twice = reference_step_ranks(once, amask, kind.code)
+        assert iterate(state, parse_formula(text, SIG4), kind, 2).order.ranks == twice
+        final, steps = reference_achieve(ranks, amask, kind.code)
+        result = achieve(state, parse_formula(text, SIG4), kind)
+        assert (result.state.order.ranks, result.steps) == (final, steps)
+        assert achieve_ranks(ranks, amask, kind.code) == (final, steps)
+        assert induced_order(kind, state) == state.order
+
+    @pytest.mark.parametrize("kind", list(OperatorKind))
+    @pytest.mark.parametrize("command", [("apply", "--steps", "2"), ("apply", "--achieve"), ("achieve",)])
+    def test_cli(self, command, kind, capsys, tmp_path):
+        amask = models(parse_formula("a | b", SIG4), SIG4)
+        ranks = compress_keys([2 * (w // 4) + (not amask >> w & 1) for w in range(16)])  # a | b believed
+        assert not bel_mask(ranks) & ~amask
+        path = tmp_path / "four.json"
+        path.write_text(json.dumps(state_to_doc(EpistemicState(SIG4, TotalPreorder(ranks)))))
+        code = main([command[0], str(path), "--formula", "a | b", "--op", kind.value, *command[1:]])
+        assert code == 0
+        if "--steps" in command:
+            want = reference_step_ranks(reference_step_ranks(ranks, amask, kind.code), amask, kind.code)
+        else:
+            want, _ = reference_achieve(ranks, amask, kind.code)
+        doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert doc["after"] == state_to_doc(EpistemicState(SIG4, TotalPreorder(want)))
+        assert doc["after"] != doc["before"]
