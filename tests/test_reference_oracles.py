@@ -417,14 +417,14 @@ class TestModelsOracle:
         f = Or(_Both(Atom("a"), Not(_Named("b"))), Not(_Always()))
         assert models(f, SIG3) == reference_models(f, SIG3) == closure_models(f, SIG3) == 0b00100010
 
-    @pytest.mark.parametrize("evaluate", [models, closure_models])
-    def test_errors(self, evaluate):
-        with pytest.raises(UnknownAtomError, match="'z'"):
-            evaluate(And(Atom("a"), Atom("z")), SIG3)
-        with pytest.raises(UnknownAtomError):  # an undeclared name is not remembered as one
-            evaluate(Or(Atom("z"), Atom("a")), SIG3)
-        with pytest.raises(TypeError):
-            evaluate(Not("a"), SIG3)
+    def test_errors(self):
+        for evaluate in (models, closure_models):
+            with pytest.raises(UnknownAtomError, match="'z'"):
+                evaluate(And(Atom("a"), Atom("z")), SIG3)
+            with pytest.raises(UnknownAtomError):  # an undeclared name is not remembered as one
+                evaluate(Or(Atom("z"), Atom("a")), SIG3)
+            with pytest.raises(TypeError):
+                evaluate(Not("a"), SIG3)
 
     def test_signatures_keep_their_own_atom_masks(self):
         # the same name in signatures of different sizes, in either order
