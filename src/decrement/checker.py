@@ -612,7 +612,8 @@ def _run_chunk(
     cases = 0
     failures: list[tuple] = []
     if isinstance(mode, Exhaustive):
-        for ranks, values, size in islice(case_classes(rec.variables, rec.above, n_worlds), lo, hi):
+        classes = case_classes(rec.variables, rec.above, n_worlds, start=lo)
+        for ranks, values, size in islice(classes, hi - lo):
             cases += size
             if not rec.evaluate(ranks, code, *values)[0]:
                 failures.append((ranks, values))

@@ -349,45 +349,46 @@ _PRECEDENCE = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5}
 
 def format_formula(f: Formula) -> str:
     """Render a formula in the parser's grammar with minimal parentheses."""
+    return _render(f)
 
-    def prec(node: Formula) -> int:
-        return _PRECEDENCE.get(type(node), 6)
 
-    def render(node: Formula) -> str:
-        if isinstance(node, Atom):
-            return node.name
-        if isinstance(node, Top):
-            return "true"
-        if isinstance(node, Bottom):
-            return "false"
-        if isinstance(node, Not):
-            inner = render(node.operand)
-            if prec(node.operand) < 5:
-                inner = f"({inner})"
-            return f"!{inner}"
-        if isinstance(node, (And, Or)):
-            op = "&" if isinstance(node, And) else "|"
-            p = prec(node)
-            left = render(node.left)
-            if prec(node.left) < p:
-                left = f"({left})"
-            right = render(node.right)
-            if prec(node.right) <= p:
-                right = f"({right})"
-            return f"{left} {op} {right}"
-        if isinstance(node, (Implies, Iff)):
-            op = "->" if isinstance(node, Implies) else "<->"
-            p = prec(node)
-            left = render(node.left)
-            if prec(node.left) <= p:
-                left = f"({left})"
-            right = render(node.right)
-            if prec(node.right) < p:
-                right = f"({right})"
-            return f"{left} {op} {right}"
-        raise TypeError(f"not a formula node: {node!r}")
+def _prec(node: Formula) -> int:
+    return _PRECEDENCE.get(type(node), 6)
 
-    return render(f)
+
+def _render(node: Formula) -> str:
+    if isinstance(node, Atom):
+        return node.name
+    if isinstance(node, Top):
+        return "true"
+    if isinstance(node, Bottom):
+        return "false"
+    if isinstance(node, Not):
+        inner = _render(node.operand)
+        if _prec(node.operand) < 5:
+            inner = f"({inner})"
+        return f"!{inner}"
+    if isinstance(node, (And, Or)):
+        op = "&" if isinstance(node, And) else "|"
+        p = _prec(node)
+        left = _render(node.left)
+        if _prec(node.left) < p:
+            left = f"({left})"
+        right = _render(node.right)
+        if _prec(node.right) <= p:
+            right = f"({right})"
+        return f"{left} {op} {right}"
+    if isinstance(node, (Implies, Iff)):
+        op = "->" if isinstance(node, Implies) else "<->"
+        p = _prec(node)
+        left = _render(node.left)
+        if _prec(node.left) <= p:
+            left = f"({left})"
+        right = _render(node.right)
+        if _prec(node.right) < p:
+            right = f"({right})"
+        return f"{left} {op} {right}"
+    raise TypeError(f"not a formula node: {node!r}")
 
 
 # --- semantics --------------------------------------------------------------

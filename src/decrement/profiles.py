@@ -19,6 +19,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations_with_replacement, groupby
 from math import factorial
+from struct import Struct
+from typing import Callable, NamedTuple
 
 
 def _planes(variables) -> list[int]:
@@ -58,92 +60,150 @@ def _cells(variables, above, at_rank0: bool) -> list[int]:
     return out
 
 
-def _tables(variables, above, n: int, fact: list[int]):
-    """``tables[above_rank0][k][marked]``: every layer of k worlds at rank 0,
-    or above it, as (prod m!, bits).
+class _Space(NamedTuple):
+    """The layer tables of one case space and the subtree sizes behind them.
 
-    A layer is a sorted tuple of cells, ``m`` runs over the multiplicities
-    of its cells, and ``bits`` holds, per variable, the layer's worlds in it
-    as a mask over the layer's own positions.  A marked layer holds the
-    marker on one world; marked cells sort after the unmarked ones, so that
-    world comes last.
+    ``tables[above_rank0][k][marked]`` lists every layer of k worlds at rank
+    0, or above it, as (prod m!, packed).  A layer is a sorted tuple of
+    cells, ``m`` runs over the multiplicities of its cells, and ``packed``
+    holds, per variable, the layer's worlds in it as a mask over the
+    layer's own positions: one field per variable, the first variable
+    lowest, of 8, 16, 32 or 64 bits (the fewest that hold ``n`` worlds, so
+    ``decode`` reads the fields as one little-endian struct).  A layer
+    placed after ``at`` worlds adds ``packed << at``.  A marked layer holds
+    the marker on one world; marked cells sort after the unmarked ones, so
+    that world comes last.
+
+    ``counts[above_rank0][left][need_marker]`` is the number of valid
+    profiles that a node at rank 0, or above it, completes with ``left``
+    worlds still to place: the size of its subtree.
     """
+
+    n: int
+    full: int  # n!
+    tables: tuple
+    counts: tuple
+    nbytes: int  # of all the fields of a case together
+    decode: Callable[[bytes], tuple]
+    omega: int  # the index of ``omega`` among the variables, or -1
+
+
+_FIELD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # struct codes by field bytes
+
+
+@lru_cache(maxsize=16)
+def _space(variables: tuple, premises: tuple, n: int) -> _Space:
+    """The case space of ``variables`` under the sorted ``above`` items
+    ``premises``, on ``n`` worlds; the 16 latest stay built."""
     planes = _planes(variables)
     marker = planes[variables.index("omega")] if "omega" in variables else 0
+    field = next((b for b in _FIELD_CODES if n <= 8 * b), None)
+    if field is None:
+        raise ValueError(f"case classes of {n} worlds: at most 64 worlds are supported")
+    fact = [factorial(k) for k in range(n + 1)]
     tables = []
     for at_rank0 in (True, False):
-        cells = _cells(variables, above, at_rank0)
-        table = [([], []) for _ in range(n + 1)]
+        cells = _cells(variables, dict(premises), at_rank0)
+        table = [((), ())]
         for k in range(1, n + 1):
+            by_marker = ([], [])
             for marked in (False, True) if marker else (False,):
                 for plain in combinations_with_replacement(cells, k - marked):
                     denom = 1
                     for _, run in groupby(plain):
                         denom *= fact[len(list(run))]
                     for layer in [plain + (c | marker,) for c in cells] if marked else [plain]:
-                        bits = tuple(
-                            sum(1 << j for j, c in enumerate(layer) if c & plane)
-                            for plane in planes
+                        packed = sum(
+                            1 << (8 * field * i + j)
+                            for i, plane in enumerate(planes)
+                            for j, c in enumerate(layer)
+                            if c & plane
                         )
-                        table[k][marked].append((denom, bits))
-        tables.append(table)
-    return tables
+                        by_marker[marked].append((denom, packed))
+            table.append(tuple(map(tuple, by_marker)))
+        tables.append(tuple(table))
+    counts = ([], [])
+    for left in range(n + 1):
+        for above_rank0 in (False, True):
+            counts[above_rank0].append(tuple(
+                sum(
+                    len(tables[above_rank0][k][marked]) * counts[True][left - k][need and not marked]
+                    for k in range(1, left + 1)
+                    for marked in ((False, True) if need else (False,))
+                ) if left else int(not need)
+                for need in (False, True)
+            ))
+    return _Space(
+        n=n,
+        full=fact[n],
+        tables=tuple(tables),
+        counts=tuple(map(tuple, counts)),
+        nbytes=field * len(variables),
+        decode=Struct(f"<{len(variables)}{_FIELD_CODES[field]}").unpack,
+        omega=variables.index("omega") if marker else -1,
+    )
 
 
-def case_classes(variables, above, n_worlds: int):
-    """Every valid profile once, in a fixed order, as (ranks, values, size).
+def _space_of(variables, above, n_worlds: int) -> _Space:
+    return _space(tuple(variables), tuple(sorted(above.items())), n_worlds)
+
+
+def case_classes(variables, above, n_worlds: int, start: int = 0):
+    """Every valid profile once, in a fixed order, as (ranks, values, size),
+    from the ``start``-th on.
 
     Worlds ``0..n_worlds-1`` of the representative take the profile's types
     in sorted (rank, cell) order, so its ranks do not decrease.  ``values``
     follow ``variables`` and ``size`` is the orbit size, ``n! / prod m!``
     over the multiplicities ``m`` of the types.  The recursion places one
     nonempty layer per rank until every world has one; the marker goes on
-    exactly one world.
+    exactly one world.  Whole subtrees before ``start`` are skipped by
+    their size, so a late start costs about what an early one does.
     """
-    fact = [factorial(k) for k in range(n_worlds + 1)]
-    tables = _tables(variables, above, n_worlds, fact)
-    omega = variables.index("omega") if "omega" in variables else -1
-    full = fact[n_worlds]
-
-    def rec(rank: int, ranks: tuple, masks: tuple, need_marker: bool, denom: int):
-        table = tables[rank > 0]
-        left = n_worlds - len(ranks)
-        for k in range(1, left + 1):
-            for marked in (False, True) if need_marker else (False,):
-                if k == left and need_marker and not marked:
-                    continue  # the marker has nowhere left to go
-                here = ranks + (rank,) * k
-                for d, bits in table[k][marked]:
-                    grown = tuple(m | b << len(ranks) for m, b in zip(masks, bits))
-                    if k < left:
-                        yield from rec(rank + 1, here, grown, need_marker and not marked, denom * d)
-                        continue
-                    if omega >= 0:  # the marked world's mask becomes its index
-                        grown = list(grown)
-                        grown[omega] = grown[omega].bit_length() - 1
-                        grown = tuple(grown)
-                    yield here, grown, full // (denom * d)
-
-    return rec(0, (), (0,) * len(variables), "omega" in variables, 1)
+    if start < 0:
+        raise ValueError(f"start must be nonnegative, got {start}")
+    space = _space_of(variables, above, n_worlds)
+    return _walk(space, 0, (), 0, space.omega >= 0, 1, start)
 
 
 def case_class_count(variables, above, n_worlds: int) -> int:
-    """The length of the case_classes stream, from the same layer tables."""
-    fact = [factorial(k) for k in range(n_worlds + 1)]
-    tables = _tables(variables, above, n_worlds, fact)
+    """The length of the case_classes stream: the size of the whole tree."""
+    space = _space_of(variables, above, n_worlds)
+    return space.counts[False][n_worlds][space.omega >= 0]
 
-    @lru_cache(maxsize=None)
-    def count(above_rank0: bool, left: int, need_marker: bool) -> int:
-        if not left:
-            return not need_marker
-        table = tables[above_rank0]
-        return sum(
-            len(table[k][marked]) * count(True, left - k, need_marker and not marked)
-            for k in range(1, left + 1)
-            for marked in ((False, True) if need_marker else (False,))
-        )
 
-    return count(False, n_worlds, "omega" in variables)
+def _walk(space: _Space, rank: int, ranks: tuple, packed: int, need_marker: bool, denom: int, start: int):
+    """The profiles below one node of the recursion, from the ``start``-th
+    on: ``ranks`` and ``packed`` hold the layers placed so far, and the
+    next one goes at ``rank``."""
+    at = len(ranks)
+    left = space.n - at
+    table = space.tables[rank > 0]
+    sizes = space.counts[True]
+    for k in range(1, left + 1):
+        for marked in (False, True) if need_marker else (False,):
+            need = need_marker and not marked
+            entries = table[k][marked]
+            sub = sizes[left - k][need]  # per entry; 0 if the marker is left out
+            if start >= len(entries) * sub:
+                start -= len(entries) * sub
+                continue
+            first, start = divmod(start, sub)
+            here = ranks + (rank,) * k
+            if k < left:
+                for d, bits in entries[first:]:
+                    yield from _walk(space, rank + 1, here, packed | bits << at, need, denom * d, start)
+                    start = 0
+                continue
+            full = space.full // denom
+            nbytes, decode, omega = space.nbytes, space.decode, space.omega
+            for d, bits in entries[first:]:
+                values = decode((packed | bits << at).to_bytes(nbytes, "little"))
+                if omega >= 0:  # the marked world's mask becomes its index
+                    values = list(values)
+                    values[omega] = values[omega].bit_length() - 1
+                    values = tuple(values)
+                yield here, values, full // d
 
 
 def orbit(variables, ranks, values):

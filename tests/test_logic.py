@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -316,6 +318,33 @@ class TestPrintParseRoundTrip:
         assert models(And(f, g), SIG3) == models(f, SIG3) & models(g, SIG3)
         assert models(Or(f, g), SIG3) == models(f, SIG3) | models(g, SIG3)
         assert models(Not(f), SIG3) == SIG3.universe & ~models(f, SIG3)
+
+
+class TestFormatCollectorQuiet:
+    """Rendering frees what it allocates by reference counting alone."""
+
+    @pytest.fixture(autouse=True)
+    def collector_off(self):
+        gc.disable()
+        gc.collect()
+        yield
+        gc.enable()
+
+    @pytest.mark.parametrize("text", ["a", "!(a & b) | c", "a -> b <-> !c", "true & false", "!" * 200 + "a"])
+    def test_format_leaves_no_garbage(self, text):
+        f = parse_formula(text, SIG3)
+        gc.collect()  # the parse is not under test
+        assert parse_formula(format_formula(f), SIG3) == f
+        assert gc.collect() == 0
+
+    def test_bad_node_leaves_no_garbage(self):
+        try:  # not pytest.raises, whose record of the error is a cycle
+            format_formula(And(Atom("a"), "b"))
+        except TypeError:
+            pass
+        else:
+            pytest.fail("rendered")
+        assert gc.collect() == 0
 
 
 def test_iter_worlds_order():

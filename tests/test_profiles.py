@@ -6,12 +6,13 @@ the case space exactly once, and ``orbit`` must list every member of one.
 The end-to-end comparison with brute force is in ``test_checker.py``.
 """
 
+import gc
 from math import factorial
 
 import pytest
 
 from decrement.checker import REGISTRY, PostulateId
-from decrement.profiles import case_class_count, case_classes, orbit
+from decrement.profiles import _space, case_class_count, case_classes, orbit
 
 # The first record of each distinct (variables, premises) shape.
 SHAPES = list({
@@ -89,3 +90,50 @@ def test_three_atom_orbit_counts():
     assert case_class_count(("alpha",), {}, 8) == 11_144
     total = sum(size for *_, size in classes(PostulateId.DR8, 8))
     assert total == 57_879_617
+
+
+def test_out_of_range_arguments_raise():
+    with pytest.raises(ValueError, match="nonnegative"):
+        case_classes(("alpha",), {}, 4, start=-1)
+    with pytest.raises(ValueError, match="at most 64 worlds"):
+        case_class_count(("alpha",), {}, 65)
+    assert case_class_count((), {}, 64) == 2**63  # compositions of 64: the widest field
+
+
+class TestCollectorQuiet:
+    """The stream and its count, layer tables built or reused, free what
+    they allocate by reference counting alone."""
+
+    @pytest.fixture(autouse=True, params=["built", "reused"])
+    def collector_off(self, request):
+        if request.param == "built":
+            _space.cache_clear()
+        else:
+            for pid in SHAPES:
+                case_class_count(REGISTRY[pid].variables, REGISTRY[pid].above, 8)
+        gc.disable()
+        gc.collect()
+        yield
+        gc.enable()
+
+    @pytest.mark.parametrize("pid", SHAPES, ids=lambda p: p.value)
+    def test_count(self, pid):
+        rec = REGISTRY[pid]
+        assert case_class_count(rec.variables, rec.above, 8)
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("middle", [False, True], ids=["start", "middle"])
+    @pytest.mark.parametrize("pid", SHAPES, ids=lambda p: p.value)
+    def test_stream_abandoned_after_one_class(self, pid, middle):
+        rec = REGISTRY[pid]
+        start = case_class_count(rec.variables, rec.above, 8) // 2 if middle else 0
+        assert next(case_classes(rec.variables, rec.above, 8, start=start))
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("pid", [PostulateId.D1, PostulateId.D8, PostulateId.LEMMA1, PostulateId.SFA1])
+    def test_stream_run_fully(self, pid):
+        rec = REGISTRY[pid]
+        assert sum(1 for _ in case_classes(rec.variables, rec.above, 8)) == case_class_count(
+            rec.variables, rec.above, 8
+        )
+        assert gc.collect() == 0

@@ -6,12 +6,19 @@ class, a recursive ``models`` that re-reads the signature at every node,
 a ``models`` that walks a per-call closure, a give-up scan that asks
 ``giveup_lt_masks`` twice per class, and the kernel's per-world
 ``frontal_bits`` and ``step_ranks`` with their sort-based key
-compression.  The library's versions must agree with them on every input,
-errors included.
+compression, and the case-class recursion that rebuilt its layer tables
+per call, kept per-variable mask tuples and walked to a chunk's start.
+The library's versions must agree with them on every input, errors
+included.
 """
 
+import hashlib
 import json
+import random
 from dataclasses import fields
+from functools import lru_cache
+from itertools import combinations_with_replacement, groupby, islice
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,6 +47,7 @@ from decrement.logic import (
     models,
     parse_formula,
 )
+from decrement.checker import REGISTRY, conformance_matrix
 from decrement.cli import main
 from decrement.operators import (
     OperatorKind,
@@ -53,6 +61,7 @@ from decrement.operators import (
     step_ranks,
 )
 from decrement.preorder import TotalPreorder, enumerate_preorders
+from decrement.profiles import _cells, _planes, case_class_count, case_classes
 from decrement.state import EpistemicState, state_to_doc
 
 # --- reference implementations ------------------------------------------------
@@ -314,6 +323,94 @@ def reference_giveup_ll_masks(ranks: tuple, a: int, b: int, code: int) -> bool:
         if giveup_lt_masks(ranks, a, g, code) and giveup_lt_masks(ranks, g, b, code):
             return False
     return True
+
+
+def reference_tables(variables, above, n: int, fact: list[int]):
+    """``tables[above_rank0][k][marked]``: every layer of k worlds at rank 0,
+    or above it, as (prod m!, bits).
+
+    A layer is a sorted tuple of cells, ``m`` runs over the multiplicities
+    of its cells, and ``bits`` holds, per variable, the layer's worlds in it
+    as a mask over the layer's own positions.  A marked layer holds the
+    marker on one world; marked cells sort after the unmarked ones, so that
+    world comes last.
+    """
+    planes = _planes(variables)
+    marker = planes[variables.index("omega")] if "omega" in variables else 0
+    tables = []
+    for at_rank0 in (True, False):
+        cells = _cells(variables, above, at_rank0)
+        table = [([], []) for _ in range(n + 1)]
+        for k in range(1, n + 1):
+            for marked in (False, True) if marker else (False,):
+                for plain in combinations_with_replacement(cells, k - marked):
+                    denom = 1
+                    for _, run in groupby(plain):
+                        denom *= fact[len(list(run))]
+                    for layer in [plain + (c | marker,) for c in cells] if marked else [plain]:
+                        bits = tuple(
+                            sum(1 << j for j, c in enumerate(layer) if c & plane)
+                            for plane in planes
+                        )
+                        table[k][marked].append((denom, bits))
+        tables.append(table)
+    return tables
+
+
+def reference_case_classes(variables, above, n_worlds: int):
+    """Every valid profile once, in a fixed order, as (ranks, values, size).
+
+    Worlds ``0..n_worlds-1`` of the representative take the profile's types
+    in sorted (rank, cell) order, so its ranks do not decrease.  ``values``
+    follow ``variables`` and ``size`` is the orbit size, ``n! / prod m!``
+    over the multiplicities ``m`` of the types.  The recursion places one
+    nonempty layer per rank until every world has one; the marker goes on
+    exactly one world.
+    """
+    fact = [factorial(k) for k in range(n_worlds + 1)]
+    tables = reference_tables(variables, above, n_worlds, fact)
+    omega = variables.index("omega") if "omega" in variables else -1
+    full = fact[n_worlds]
+
+    def rec(rank: int, ranks: tuple, masks: tuple, need_marker: bool, denom: int):
+        table = tables[rank > 0]
+        left = n_worlds - len(ranks)
+        for k in range(1, left + 1):
+            for marked in (False, True) if need_marker else (False,):
+                if k == left and need_marker and not marked:
+                    continue  # the marker has nowhere left to go
+                here = ranks + (rank,) * k
+                for d, bits in table[k][marked]:
+                    grown = tuple(m | b << len(ranks) for m, b in zip(masks, bits))
+                    if k < left:
+                        yield from rec(rank + 1, here, grown, need_marker and not marked, denom * d)
+                        continue
+                    if omega >= 0:  # the marked world's mask becomes its index
+                        grown = list(grown)
+                        grown[omega] = grown[omega].bit_length() - 1
+                        grown = tuple(grown)
+                    yield here, grown, full // (denom * d)
+
+    return rec(0, (), (0,) * len(variables), "omega" in variables, 1)
+
+
+def reference_case_class_count(variables, above, n_worlds: int) -> int:
+    """The length of the case_classes stream, from the same layer tables."""
+    fact = [factorial(k) for k in range(n_worlds + 1)]
+    tables = reference_tables(variables, above, n_worlds, fact)
+
+    @lru_cache(maxsize=None)
+    def count(above_rank0: bool, left: int, need_marker: bool) -> int:
+        if not left:
+            return not need_marker
+        table = tables[above_rank0]
+        return sum(
+            len(table[k][marked]) * count(True, left - k, need_marker and not marked)
+            for k in range(1, left + 1)
+            for marked in ((False, True) if need_marker else (False,))
+        )
+
+    return count(False, n_worlds, "omega" in variables)
 
 
 # --- parse_formula ------------------------------------------------------------
@@ -581,3 +678,90 @@ class TestSixteenWorlds:
         doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert doc["after"] == state_to_doc(EpistemicState(SIG4, TotalPreorder(want)))
         assert doc["after"] != doc["before"]
+
+
+# --- case classes -------------------------------------------------------------
+
+# One (variables, premises) case space per distinct shape in the registry.
+SPACES = list({(rec.variables, tuple(sorted(rec.above.items()))): rec.above for rec in REGISTRY.values()}.items())
+SPACE_IDS = [",".join(v) + "|" + ",".join(f"{a}>{b}" for a, b in p) for (v, p), _ in SPACES]
+MATRIX2_SHA256 = "b30f13ca515d3b21c5373f045b0e913f3c0e36851dd59bca963ee491a018dd43"
+
+
+class TestCaseClassOracle:
+    """The memoised, packed, seekable stream against the per-call one."""
+
+    @pytest.mark.parametrize("n_worlds", [2, 4])
+    @pytest.mark.parametrize("space", SPACES, ids=SPACE_IDS)
+    def test_stream_count_and_every_start(self, space, n_worlds):
+        (variables, _), above = space
+        ref = list(reference_case_classes(variables, above, n_worlds))
+        assert list(case_classes(variables, above, n_worlds)) == ref
+        assert case_class_count(variables, above, n_worlds) == reference_case_class_count(
+            variables, above, n_worlds
+        ) == len(ref)
+        # The next 200 classes from every start: the whole tail wherever
+        # fewer are left, which at one atom is every start.
+        for lo in range(len(ref) + 2):
+            assert list(islice(case_classes(variables, above, n_worlds, start=lo), 200)) == ref[lo:lo + 200]
+
+    @pytest.mark.parametrize("space", SPACES, ids=SPACE_IDS)
+    def test_three_atom_prefix_and_count(self, space):
+        (variables, _), above = space
+        ref = list(islice(reference_case_classes(variables, above, 8), 20_000))
+        assert list(islice(case_classes(variables, above, 8), 20_000)) == ref
+        assert case_class_count(variables, above, 8) == reference_case_class_count(variables, above, 8)
+
+    @pytest.mark.parametrize("space", SPACES, ids=SPACE_IDS)
+    def test_three_atom_starts(self, space):
+        """200 seeded starts plus 0, total - 1 and total.  Where the whole
+        reference stream is cheap to list, a start gives its next 50
+        classes; in the spaces of 1.6M and 33.9M classes, a start gives
+        the class after the one the previous start gives."""
+        (variables, _), above = space
+        total = case_class_count(variables, above, 8)
+        rng = random.Random(12)
+        starts = sorted({0, total - 1, total, *(rng.randrange(total) for _ in range(200))})
+        if total <= 200_000:
+            ref = list(reference_case_classes(variables, above, 8))
+            for lo in starts:
+                assert list(islice(case_classes(variables, above, 8, start=lo), 50)) == ref[lo:lo + 50]
+            return
+        for lo in starts[:-2]:
+            assert list(islice(case_classes(variables, above, 8, start=lo), 2))[1] == next(
+                case_classes(variables, above, 8, start=lo + 1)
+            )
+        assert len(list(case_classes(variables, above, 8, start=total - 1))) == 1
+        assert list(case_classes(variables, above, 8, start=total)) == []
+
+    def test_matrix_from_chunk_starts(self, monkeypatch):
+        """Three chunks a cell, run in this process: every cell's later
+        chunks start by seeking, and the matrix keeps its pinned bytes."""
+        import decrement.checker as checker
+
+        class SerialPool:
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+            def shutdown(self):
+                pass
+
+        starts = []
+        run_chunk = checker._run_chunk
+
+        def recorded(*chunk):
+            starts.append(chunk[-2])
+            return run_chunk(*chunk)
+
+        monkeypatch.setattr(checker, "_worker_pool", lambda workers: SerialPool())
+        monkeypatch.setattr(checker, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(checker, "_run_chunk", recorded)
+        matrix = conformance_matrix(list(OperatorKind), "all", Signature(("a", "b")), workers=3)
+        assert hashlib.sha256(matrix.to_json().encode("utf-8")).hexdigest() == MATRIX2_SHA256
+        assert sum(lo > 0 for lo in starts) >= 2 * 120
+
+    def test_cli_matrix_with_two_workers(self, tmp_path):
+        out = tmp_path / "matrix2.json"
+        assert main(["matrix", "--ops", "all", "--postulates", "all", "--atoms", "2",
+                     "--workers", "2", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == MATRIX2_SHA256
