@@ -1,18 +1,17 @@
-"""Exhaustive and sampled verification of belief-change postulates.
+"""Exhaustive verification of belief-change postulates.
 
 Every named condition is evaluated against an operator kind over a case
 space: states range over all total preorders of the universe, formulas
 over all semantic classes (world sets), worlds over the universe.  A
 verdict depends only on the case's class under relabelling of worlds
-(``decrement.profiles``), so exhaustive mode evaluates one representative
-per class and counts the whole class.  The sampled mode draws cases from
-the same spaces with a seeded generator, so identical inputs always
-produce identical reports.
+(``decrement.profiles``), so the checker evaluates one representative per
+class and counts the whole class.  Every postulate is decided this way, up
+to ``CHECKER_MAX_ATOMS`` atoms.
 
 A postulate is defined by its ``Postulate`` record in ``REGISTRY``: the
 evaluator, the variables it quantifies with the mask each must contain,
-the exhaustive atom cap and the domain note of its reports.  Exhaustive
-enumeration, sampling, the domain checks and replay all read that record.
+and the domain note of its reports.  Enumeration and replay read that
+record.
 
 Failures are reported with replayable counterexamples, smallest first
 (fewest layers, then lexicographic layer encoding).  Case spaces can be
@@ -38,7 +37,6 @@ import enum
 import heapq
 import json
 import os
-import random
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import groupby, islice
@@ -81,11 +79,11 @@ from decrement.state import (
 COUNTEREXAMPLE_CAP = 5
 
 CHECKER_MAX_ATOMS = 3
-CHECKER_MAX_ATOMS_MULTIFORMULA = 2
+REPRESENTATION_MAX_ATOMS = 2
 
 
 class DomainTooLargeError(ValueError):
-    """Requested quantification domain exceeds the exhaustive-search caps."""
+    """Requested quantification domain exceeds the exhaustive-search cap."""
 
 
 class PostulateId(enum.Enum):
@@ -147,24 +145,9 @@ ALL_POSTULATES: tuple[PostulateId, ...] = tuple(PostulateId)
 _DR_BITS = {PostulateId(f"DR{k}"): 1 << (k - 8) for k in range(8, 16)}
 
 
-@dataclass(frozen=True)
-class Exhaustive:
-    def describe(self, n_atoms: int) -> str:
-        return f"exhaustive |Σ|={n_atoms}"
-
-
-@dataclass(frozen=True)
-class Sample:
-    seed: int
-    count: int
-
-    def describe(self, n_atoms: int) -> str:
-        return f"sample(seed={self.seed},count={self.count}) |Σ|={n_atoms}"
-
-
-EXHAUSTIVE = Exhaustive()
-
-Mode = Union[Exhaustive, Sample]
+def _domain(n_atoms: int) -> str:
+    """The domain every report and matrix names: all cases over n atoms."""
+    return f"exhaustive |Σ|={n_atoms}"
 
 
 @dataclass
@@ -415,15 +398,13 @@ class Postulate:
     a world, in nesting order.  ``above`` maps a variable to the mask it
     must contain: ``bel`` (the state's belief models), ``alpha`` or
     ``~alpha``, read from an earlier variable.  ``note`` is the domain
-    description printed in reports, and exhaustive mode is refused above
-    ``max_atoms``.
+    description printed in reports.
     """
 
     evaluate: Callable[..., tuple[bool, dict[str, int]]]
     note: str
     variables: tuple[str, ...] = ("alpha",)
     above: Mapping[str, str] = field(default_factory=dict)
-    max_atoms: int = CHECKER_MAX_ATOMS
 
 
 _ALPHA = "states x alpha classes"
@@ -440,52 +421,42 @@ REGISTRY: dict[PostulateId, Postulate] = {
     PostulateId.C2: Postulate(_vacuity, _ALPHA),
     PostulateId.C3: Postulate(_success, _ALPHA),
     PostulateId.C4: Postulate(_new_models_are_counter_worlds, _ALPHA),
-    PostulateId.C5: Postulate(_extensional, _ALPHA, max_atoms=CHECKER_MAX_ATOMS_MULTIFORMULA),
-    PostulateId.C6: Postulate(
-        _conjunctive_overlap, _ALPHA_BETA, _AB, max_atoms=CHECKER_MAX_ATOMS_MULTIFORMULA
-    ),
-    PostulateId.C7: Postulate(
-        _conjunctive_inclusion, _ALPHA_BETA, _AB, max_atoms=CHECKER_MAX_ATOMS_MULTIFORMULA
-    ),
+    PostulateId.C5: Postulate(_extensional, _ALPHA),
+    PostulateId.C6: Postulate(_conjunctive_overlap, _ALPHA_BETA, _AB),
+    PostulateId.C7: Postulate(_conjunctive_inclusion, _ALPHA_BETA, _AB),
     PostulateId.D1: Postulate(_achieve_keeps_beliefs, _ALPHA),
     PostulateId.D2: Postulate(_vacuity, _ALPHA),
     PostulateId.D3: Postulate(_drops_within_layer_bound, _ALPHA),
     PostulateId.D4: Postulate(_new_models_are_counter_worlds, _ALPHA),
     PostulateId.D5: Postulate(
-        partial(_syntax_independent, whole_order=False), _REPRESENTATIVES, _A12,
-        max_atoms=CHECKER_MAX_ATOMS_MULTIFORMULA,
+        partial(_syntax_independent, whole_order=False), _REPRESENTATIVES, _A12
     ),
-    PostulateId.D6: Postulate(
-        _conjunctive_overlap, _ALPHA_BETA, _AB, max_atoms=CHECKER_MAX_ATOMS_MULTIFORMULA
-    ),
-    PostulateId.D7: Postulate(
-        _conjunctive_inclusion, _ALPHA_BETA, _AB, max_atoms=CHECKER_MAX_ATOMS_MULTIFORMULA
-    ),
+    PostulateId.D6: Postulate(_conjunctive_overlap, _ALPHA_BETA, _AB),
+    PostulateId.D7: Postulate(_conjunctive_inclusion, _ALPHA_BETA, _AB),
     PostulateId.D8: Postulate(
         partial(_achieve_agrees_after_step, on_alpha=True),
         "states x (alpha, beta) with not-alpha entailing beta",
-        _AB, above={"beta": "~alpha"}, max_atoms=CHECKER_MAX_ATOMS_MULTIFORMULA,
+        _AB, above={"beta": "~alpha"},
     ),
     PostulateId.D9: Postulate(
         partial(_achieve_agrees_after_step, on_alpha=False),
         "states x (alpha, beta) with alpha entailing beta",
-        _AB, above={"beta": "alpha"}, max_atoms=CHECKER_MAX_ATOMS_MULTIFORMULA,
+        _AB, above={"beta": "alpha"},
     ),
     PostulateId.D10: Postulate(
         partial(_entailment_transfer, forward=False),
         "states x (alpha, beta, gamma) with alpha entailing gamma",
-        _ABG, above={"gamma": "alpha"}, max_atoms=CHECKER_MAX_ATOMS_MULTIFORMULA,
+        _ABG, above={"gamma": "alpha"},
     ),
     PostulateId.D11: Postulate(
         partial(_entailment_transfer, forward=True),
         "states x (alpha, beta, gamma) with not-alpha entailing gamma",
-        _ABG, above={"gamma": "~alpha"}, max_atoms=CHECKER_MAX_ATOMS_MULTIFORMULA,
+        _ABG, above={"gamma": "~alpha"},
     ),
     PostulateId.D12: Postulate(
         _step_keeps_giveup_successor,
         "states x (alpha, beta, gamma) with alpha |= beta, not-alpha |= gamma",
         _ABG, above={"beta": "alpha", "gamma": "~alpha"},
-        max_atoms=CHECKER_MAX_ATOMS_MULTIFORMULA,
     ),
     PostulateId.D13: Postulate(_step_keeps_beliefs, _ALPHA),
     PostulateId.DR8: Postulate(partial(_pairwise, dr=8), _BELIEVED, above=_IF_BELIEVED),
@@ -499,54 +470,20 @@ REGISTRY: dict[PostulateId, Postulate] = {
     PostulateId.SFA1: Postulate(partial(_faithful, strict=False), "all states", ()),
     PostulateId.SFA2: Postulate(partial(_faithful, strict=True), "all states", ()),
     PostulateId.SFA3: Postulate(
-        partial(_syntax_independent, whole_order=True), _REPRESENTATIVES, _A12,
-        max_atoms=CHECKER_MAX_ATOMS_MULTIFORMULA,
+        partial(_syntax_independent, whole_order=True), _REPRESENTATIVES, _A12
     ),
     PostulateId.HESITANCE: Postulate(_drops_within_layer_bound, _ALPHA),
     PostulateId.DECREMENT_SUCCESS: Postulate(_decrement_success, _ALPHA),
     PostulateId.PARTIAL_SUCCESS: Postulate(_partial_success, _ALPHA),
     PostulateId.LEMMA1: Postulate(_contract_world, "states x worlds", ("omega",)),
     PostulateId.LEMMA3: Postulate(
-        _giveup_successor_is_adjacent,
-        "states x (gamma, beta) classes",
-        ("gamma", "beta"), max_atoms=CHECKER_MAX_ATOMS_MULTIFORMULA,
+        _giveup_successor_is_adjacent, "states x (gamma, beta) classes", ("gamma", "beta")
     ),
     PostulateId.IC1: Postulate(partial(_pairwise, dr=8, achieved=True), _ALPHA),
     PostulateId.IC2: Postulate(partial(_pairwise, dr=9, achieved=True), _ALPHA),
     PostulateId.IC3: Postulate(partial(_pairwise, dr=11, achieved=True), _ALPHA),
     PostulateId.IC4: Postulate(partial(_pairwise, dr=10, achieved=True), _ALPHA),
 }
-
-
-# --- case generation ---------------------------------------------------------
-#
-# A case is a rank vector plus one value per variable of the postulate.
-
-def _low(rec: Postulate, var: str, values: tuple, bel: int, full: int) -> int:
-    """The mask ``var`` must contain, given the values of earlier variables."""
-    bound = rec.above.get(var)
-    if bound is None:
-        return 0
-    if bound == "bel":
-        return bel
-    a = values[rec.variables.index("alpha")]
-    return a if bound == "alpha" else full & ~a
-
-
-def _sample_case(pid: PostulateId, rng: random.Random, n_worlds: int) -> tuple[tuple, tuple]:
-    """One random premise-satisfying case: (ranks, variable values)."""
-    rec = REGISTRY[pid]
-    full = (1 << n_worlds) - 1
-    ranks = _kernel.compress_keys([rng.randrange(n_worlds) for _ in range(n_worlds)])
-    bel = bel_mask(ranks)
-    values: tuple[int, ...] = ()
-    for var in rec.variables:
-        if var == "omega":
-            values += (rng.randrange(n_worlds),)
-        else:
-            low = _low(rec, var, values, bel, full)
-            values += (low | (rng.randrange(full + 1) & full & ~low),)
-    return ranks, values
 
 
 # --- report assembly ---------------------------------------------------------
@@ -594,40 +531,25 @@ def _run_chunk(
     kind_value: str,
     pid_value: str,
     n_atoms: int,
-    mode: Mode,
     lo: int,
     hi: int,
 ) -> tuple[int, list[tuple]]:
-    """Evaluate cases with index in [lo, hi); returns (cases, failures).
+    """Evaluate the case classes with index in [lo, hi).
 
-    Sample mode returns the smallest failures as (key, case) pairs.  In
-    exhaustive mode the index runs over case classes, each counting its
-    orbit size, and the failures are the failing representatives as
-    (ranks, values); ``_orbit_failures`` expands them.
+    Returns (cases, failures): each class counts its orbit size, and the
+    failures are the failing representatives as (ranks, values);
+    ``_orbit_failures`` expands them.
     """
     code = OperatorKind(kind_value).code
-    pid = PostulateId(pid_value)
-    rec = REGISTRY[pid]
-    n_worlds = 1 << n_atoms
+    rec = REGISTRY[PostulateId(pid_value)]
     cases = 0
     failures: list[tuple] = []
-    if isinstance(mode, Exhaustive):
-        classes = case_classes(rec.variables, rec.above, n_worlds, start=lo)
-        for ranks, values, size in islice(classes, hi - lo):
-            cases += size
-            if not rec.evaluate(ranks, code, *values)[0]:
-                failures.append((ranks, values))
-        return cases, failures
-    for i in range(lo, hi):
-        rng = random.Random(mode.seed * 2_000_003 + i)
-        ranks, values = _sample_case(pid, rng, n_worlds)
-        cases += 1
-        ok, witness = rec.evaluate(ranks, code, *values)
-        if not ok:
-            failures.append(_failure(rec, ranks, values, witness, n_atoms))
-            if len(failures) > 4 * COUNTEREXAMPLE_CAP:
-                failures = _smallest(failures)
-    return cases, _smallest(failures)
+    classes = case_classes(rec.variables, rec.above, 1 << n_atoms, start=lo)
+    for ranks, values, size in islice(classes, hi - lo):
+        cases += size
+        if not rec.evaluate(ranks, code, *values)[0]:
+            failures.append((ranks, values))
+    return cases, failures
 
 
 def _orbit_failures(rec: Postulate, code: int, n_atoms: int, failing: list) -> list[tuple]:
@@ -658,56 +580,37 @@ def _orbit_failures(rec: Postulate, code: int, n_atoms: int, failing: list) -> l
     return _smallest(failures)
 
 
-def _validate_domain(pid: PostulateId, sig: Signature, mode: Mode) -> None:
-    n_atoms = sig.n_atoms
-    if n_atoms > CHECKER_MAX_ATOMS:
-        raise DomainTooLargeError(
-            f"checker limited to |Σ| <= {CHECKER_MAX_ATOMS}, got {n_atoms}"
-        )
-    max_atoms = REGISTRY[pid].max_atoms
-    if isinstance(mode, Exhaustive) and n_atoms > max_atoms:
-        raise DomainTooLargeError(
-            f"exhaustive {pid.value} quantifies over formula tuples; "
-            f"limited to |Σ| <= {max_atoms}"
-        )
-
-
 def check_postulate(
     kind: Union[OperatorKind, str],
     postulate: Union[PostulateId, str],
     sig: Signature,
-    mode: Mode = EXHAUSTIVE,
     workers: int = 1,
     *,
     _pool=None,
 ) -> CheckReport:
     """Quantify one postulate over states, formula classes, and worlds.
 
-    Exhaustive mode decides every case of the space, one case class
-    (orbit under relabelling of worlds) at a time; postulates over formula
-    pairs and the give-up successor relation are capped at two atoms,
-    everything else at three.  Workers split the case classes, or the
-    drawn cases; the failing orbits are expanded once, after they finish.
-    Reports are deterministic for identical (signature, mode, seed)
-    regardless of the worker count.  At most one process per usable CPU is
+    Decides every case of the space, one case class (orbit under
+    relabelling of worlds) at a time, for every postulate up to
+    ``CHECKER_MAX_ATOMS`` atoms; more atoms raise ``DomainTooLargeError``.
+    Workers split the case classes; the failing orbits are expanded once,
+    after they finish.  Reports are deterministic for a given signature,
+    whatever the worker count.  At most one process per usable CPU is
     started, whatever ``workers`` asks for.  ``conformance_matrix`` passes
     its one pool as ``_pool``; without it the call starts its own.
     """
     kind = OperatorKind(kind)
     pid = PostulateId(postulate)
-    _validate_domain(pid, sig, mode)
     n_atoms = sig.n_atoms
+    if n_atoms > CHECKER_MAX_ATOMS:
+        raise DomainTooLargeError(
+            f"checker limited to |Σ| <= {CHECKER_MAX_ATOMS}, got {n_atoms}"
+        )
     rec = REGISTRY[pid]
 
-    if isinstance(mode, Exhaustive):
-        total = case_class_count(rec.variables, rec.above, 1 << n_atoms)
-    else:
-        if mode.count < 0:
-            raise ValueError("sample count must be nonnegative")
-        total = mode.count
-
+    total = case_class_count(rec.variables, rec.above, 1 << n_atoms)
     chunks = [
-        (kind.value, pid.value, n_atoms, mode, lo, hi)
+        (kind.value, pid.value, n_atoms, lo, hi)
         for lo, hi in _chunk_bounds(total, workers, _usable_cpus())
     ]
     if len(chunks) <= 1:
@@ -718,16 +621,14 @@ def check_postulate(
         results = list(_pool.map(_run_chunk, *zip(*chunks)))
 
     cases = sum(r[0] for r in results)
-    failures = [f for _, chunk_failures in results for f in chunk_failures]
-    if isinstance(mode, Exhaustive):
-        failures = _orbit_failures(rec, kind.code, n_atoms, failures)
-    counterexamples = [_counterexample(*case, n_atoms) for _, case in _smallest(failures)]
+    failing = [f for _, chunk_failures in results for f in chunk_failures]
+    failures = _orbit_failures(rec, kind.code, n_atoms, failing)
+    counterexamples = [_counterexample(*case, n_atoms) for _, case in failures]
 
-    domain = f"{mode.describe(n_atoms)}; {rec.note}"
     return CheckReport(
         postulate=pid.value,
         operator=kind.value,
-        domain=domain,
+        domain=f"{_domain(n_atoms)}; {rec.note}",
         outcome="fail" if counterexamples else "pass",
         cases=cases,
         counterexamples=counterexamples,
@@ -784,7 +685,6 @@ def conformance_matrix(
     kinds: Sequence[Union[OperatorKind, str]],
     postulates: Union[str, Sequence[Union[PostulateId, str]]],
     sig: Signature,
-    mode: Mode = EXHAUSTIVE,
     workers: int = 1,
 ) -> ConformanceMatrix:
     """One CheckReport per (kind, postulate), in the requested order.
@@ -800,7 +700,7 @@ def conformance_matrix(
     pool = _worker_pool(workers)
     try:
         reports = [
-            check_postulate(kind, pid, sig, mode, workers=workers, _pool=pool)
+            check_postulate(kind, pid, sig, workers=workers, _pool=pool)
             for kind in kind_list
             for pid in pid_list
         ]
@@ -809,7 +709,7 @@ def conformance_matrix(
             pool.shutdown()
     return ConformanceMatrix(
         atoms=tuple(sig.atoms),
-        mode=mode.describe(sig.n_atoms),
+        mode=_domain(sig.n_atoms),
         operators=tuple(k.value for k in kind_list),
         postulates=tuple(p.value for p in pid_list),
         reports=reports,
@@ -855,9 +755,9 @@ def verify_representation(kind: Union[OperatorKind, str], sig: Signature) -> Che
     """
     kind = OperatorKind(kind)
     n_atoms = sig.n_atoms
-    if n_atoms > CHECKER_MAX_ATOMS_MULTIFORMULA:
+    if n_atoms > REPRESENTATION_MAX_ATOMS:
         raise DomainTooLargeError(
-            f"representation check limited to |Σ| <= {CHECKER_MAX_ATOMS_MULTIFORMULA}"
+            f"representation check limited to |Σ| <= {REPRESENTATION_MAX_ATOMS}"
         )
     code = kind.code
     n = sig.n_worlds
@@ -902,7 +802,7 @@ def verify_representation(kind: Union[OperatorKind, str], sig: Signature) -> Che
     return CheckReport(
         postulate="representation",
         operator=kind.value,
-        domain=f"exhaustive |Σ|={n_atoms}; conditions (i)-(iv) over all states",
+        domain=f"{_domain(n_atoms)}; conditions (i)-(iv) over all states",
         outcome="fail" if counterexamples else "pass",
         cases=cases,
         counterexamples=counterexamples,

@@ -19,9 +19,7 @@ from decrement._kernel import weak_order_count
 from decrement.checker import (
     ALL_POSTULATES,
     DomainTooLargeError,
-    EXHAUSTIVE,
     PostulateId,
-    Sample,
     conformance_matrix,
     successor_satisfiability,
 )
@@ -35,9 +33,6 @@ from decrement.state import (
     state_from_doc,
     state_to_doc,
 )
-
-DEFAULT_SEED = 0
-DEFAULT_SAMPLE_COUNT = 1000
 
 
 class CliError(Exception):
@@ -156,18 +151,11 @@ def cmd_achieve(args) -> int:
     return _apply_common(args, do_achieve=True)
 
 
-def _mode_from_args(args):
-    if args.mode == "exhaustive":
-        return EXHAUSTIVE
-    return Sample(seed=args.seed, count=args.count)
-
-
 def _run_matrix(args, kinds: list[OperatorKind]) -> int:
     sig = _signature_for_atoms(args.atoms)
     postulates = _postulate_list(args.postulates)
-    mode = _mode_from_args(args)
     try:
-        matrix = conformance_matrix(kinds, postulates, sig, mode, workers=args.workers)
+        matrix = conformance_matrix(kinds, postulates, sig, workers=args.workers)
     except DomainTooLargeError as exc:
         raise CliError(str(exc)) from None
     text = matrix.to_json()
@@ -245,7 +233,7 @@ def cmd_enumerate(args) -> int:
 # --- argument parsing -----------------------------------------------------------
 
 def _nonnegative_int(text: str) -> int:
-    """argparse type for step, case and output counts."""
+    """argparse type for step and output counts."""
     try:
         value = int(text)
     except ValueError:
@@ -258,11 +246,6 @@ def _nonnegative_int(text: str) -> int:
 def _add_check_flags(sub) -> None:
     sub.add_argument("--postulates", default="all", help="comma list of postulate ids, or 'all'")
     sub.add_argument("--atoms", type=int, required=True, help="signature size")
-    sub.add_argument("--mode", choices=["exhaustive", "sample"], default="exhaustive")
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sample-mode RNG seed")
-    sub.add_argument(
-        "--count", type=_nonnegative_int, default=DEFAULT_SAMPLE_COUNT, help="sample-mode case count"
-    )
     sub.add_argument(
         "--workers", type=int, default=1, help="parallel worker processes (at most one per CPU)"
     )

@@ -16,9 +16,7 @@ from hypothesis import strategies as st
 from decrement.checker import (
     ALL_POSTULATES,
     DomainTooLargeError,
-    EXHAUSTIVE,
     PostulateId,
-    Sample,
     check_postulate,
     conformance_matrix,
     replay_counterexample,
@@ -252,8 +250,9 @@ class TestMatrix:
 
     def test_all_postulates_covered(self):
         assert {p.value for p in ALL_POSTULATES} == {p.value for p in PostulateId}
-        matrix = conformance_matrix([T1], "all", SIG2, Sample(seed=1, count=4))
+        matrix = conformance_matrix([T1], "all", SIG2)
         assert len(matrix.reports) == len(ALL_POSTULATES)
+        assert matrix.mode == "exhaustive |Σ|=2"
 
     def test_deterministic_bytes(self):
         pids = [PostulateId.D1, PostulateId.D6, PostulateId.DR12, PostulateId.LEMMA1]
@@ -320,50 +319,27 @@ class TestMatrix:
         assert [(p.maps, p.shut) for p in pools] == [(6, True)]
         assert shared.to_json() == conformance_matrix(list(OperatorKind), pids, SIG2).to_json()
         with pytest.raises(DomainTooLargeError):
-            conformance_matrix([T1], [PostulateId.D1, PostulateId.D12], Signature(("a", "b", "c")), workers=2)
+            conformance_matrix([T1], [PostulateId.D1, PostulateId.D12], Signature("abcd"), workers=2)
         assert pools[-1].shut
 
-    def test_sample_mode_deterministic(self):
-        mode = Sample(seed=7, count=64)
-        r1 = check_postulate(T1, PostulateId.D8, SIG2, mode)
-        r2 = check_postulate(T1, PostulateId.D8, SIG2, mode)
-        assert r1.to_doc() == r2.to_doc()
-        assert r1.cases == 64
-        assert "sample(seed=7,count=64)" in r1.domain
-
-    def test_sample_mode_three_atoms(self):
-        sig3 = Signature(("a", "b", "c"))
-        rep = check_postulate(T2, PostulateId.D1, sig3, Sample(seed=3, count=40))
-        assert rep.outcome == "pass"
-
-    def test_three_atom_sample_matrix_pinned(self):
-        # Pins the sampler's RNG stream and every evaluator at three atoms.
-        # A change to how sample cases are drawn must update this digest
-        # and say why.
-        matrix = conformance_matrix(
-            list(OperatorKind), "all", Signature("abc"), Sample(seed=7, count=200)
-        )
-        digest = hashlib.sha256(matrix.to_json().encode("utf-8")).hexdigest()
-        assert digest == "7c60f7a0e8e5846e226c1e685d23b545e334f77bfa57f9ba105a713ea56d55b3"
-
-    def test_partial_success_sampled_three_atoms(self):
+    def test_partial_success_three_atoms(self):
         sig3 = Signature(("a", "b", "c"))
         for kind in (T1, T2):
-            rep = check_postulate(kind, PostulateId.PARTIAL_SUCCESS, sig3, Sample(seed=9, count=400))
+            rep = check_postulate(kind, PostulateId.PARTIAL_SUCCESS, sig3)
             assert rep.outcome == "pass"
-            assert rep.cases == 400
+            assert rep.cases == 139_733_760
 
 
 class TestDomainLimits:
-    def test_exhaustive_pairs_capped_at_two_atoms(self):
-        sig3 = Signature(("a", "b", "c"))
-        with pytest.raises(DomainTooLargeError):
-            check_postulate(T1, PostulateId.D12, sig3, EXHAUSTIVE)
+    def test_exhaustive_pairs_capped_at_three_atoms(self):
+        sig4 = Signature(("a", "b", "c", "d"))
+        with pytest.raises(DomainTooLargeError, match=r"limited to \|Σ\| <= 3, got 4"):
+            check_postulate(T1, PostulateId.D12, sig4)
 
     def test_four_atoms_always_too_large(self):
         sig4 = Signature(("a", "b", "c", "d"))
         with pytest.raises(DomainTooLargeError):
-            check_postulate(T1, PostulateId.D1, sig4, Sample(seed=0, count=5))
+            check_postulate(T1, PostulateId.D1, sig4)
 
     def test_unknown_postulate(self):
         with pytest.raises(ValueError):
@@ -552,14 +528,17 @@ class TestRegistry:
 
     @pytest.mark.parametrize("pid", list(PostulateId))
     def test_sampled_cases_are_enumerated_cases(self, pid):
-        # the sampler and the brute-force case space agree on every premise
-        from decrement.checker import _sample_case
+        # drawn case classes, relabelled, meet the brute-force space's premises
+        from decrement.checker import REGISTRY
 
+        variables = REGISTRY[pid].variables
         space = set(brute_cases(pid, 4))
         rng = random.Random(pid.value)
         for _ in range(200):
-            ranks, values = _sample_case(pid, rng, 4)
-            assert (ranks, values) in space, (ranks, values)
+            perm = rng.sample(range(4), 4)
+            ranks, values = draw_class(pid, 4, rng)
+            case = relabel(perm, ranks, variables, values)
+            assert case in space, case
 
 
 # --- brute force: the exhaustive case space, one case at a time -------------
@@ -649,6 +628,17 @@ class TestOrbitCheckerAgainstBruteForce:
         self.assert_same(kind, pid, 2)
 
 
+def draw_class(pid, n_worlds, rng):
+    """(ranks, values) of a case class drawn uniformly from pid's space."""
+    from decrement.checker import REGISTRY
+    from decrement.profiles import case_class_count, case_classes
+
+    rec = REGISTRY[pid]
+    start = rng.randrange(case_class_count(rec.variables, rec.above, n_worlds))
+    ranks, values, _ = next(case_classes(rec.variables, rec.above, n_worlds, start=start))
+    return ranks, values
+
+
 def relabel(perm, ranks, variables, values):
     """The case with world w renamed perm[w]."""
     from decrement.logic import iter_worlds
@@ -675,11 +665,11 @@ class TestEquivariance:
         data=st.data(),
     )
     def test_verdict_survives_relabelling(self, pid, kind, n_atoms, seed, data):
-        from decrement.checker import REGISTRY, _sample_case
+        from decrement.checker import REGISTRY
 
         rec = REGISTRY[pid]
         n = 1 << n_atoms
-        ranks, values = _sample_case(pid, random.Random(seed), n)
+        ranks, values = draw_class(pid, n, random.Random(seed))
         perm = data.draw(st.permutations(range(n)))
         moved_ranks, moved_values = relabel(perm, ranks, rec.variables, values)
         before, _ = rec.evaluate(ranks, kind.code, *values)
@@ -688,7 +678,7 @@ class TestEquivariance:
 
 
 class TestThreeAtoms:
-    """Exhaustive single-formula cells at three atoms (8 worlds)."""
+    """Exhaustive cells at three atoms (8 worlds)."""
 
     def test_type1_d13_passes(self):
         report = check_postulate(T1, PostulateId.D13, Signature("abc"))
@@ -710,3 +700,20 @@ class TestThreeAtoms:
         assert report.cases == 57_879_617
         assert hashlib.sha256(report.to_json().encode("utf-8")).hexdigest() == sha256
 
+    # sha256 prefixes of CheckReport.to_json() for the cheapest cells over
+    # several formulas
+    @pytest.mark.parametrize(
+        "kind, pid, cases, sha256",
+        [
+            (T1, PostulateId.C5, 139_733_760, "ca2e6157d99b"),
+            (T2, PostulateId.C5, 139_733_760, "c6a876458138"),
+            (IN, PostulateId.C5, 139_733_760, "6098f7a9a327"),
+            (IN, PostulateId.D8, 3_581_223_435, "85399ca7a331"),
+            (IN, PostulateId.D9, 3_581_223_435, "354c67b0da3e"),
+        ],
+        ids=["type1-C5", "type2-C5", "instant-C5", "instant-D8", "instant-D9"],
+    )
+    def test_multiformula_cells_pass(self, kind, pid, cases, sha256):
+        report = check_postulate(kind, pid, Signature("abc"))
+        assert (report.outcome, report.cases) == ("pass", cases)
+        assert hashlib.sha256(report.to_json().encode("utf-8")).hexdigest().startswith(sha256)

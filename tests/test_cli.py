@@ -1,9 +1,11 @@
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
-from decrement.cli import main
+from decrement.cli import build_parser, main
 
 PSI1 = "states/psi1.json"
 CONFLICT = "states/conflict.json"
@@ -123,7 +125,6 @@ class TestCheck:
             "--op", "type2",
             "--postulates", "D1,D2,D3,D4,D5,D6,D7",
             "--atoms", "2",
-            "--mode", "exhaustive",
             "--expect-pass",
         )
         assert code == 0
@@ -142,29 +143,30 @@ class TestCheck:
 
     def test_domain_too_large_exits_2(self, capsys):
         code, _, err = run(
-            capsys, "check", "--op", "type1", "--postulates", "all", "--atoms", "4", "--mode", "exhaustive"
+            capsys, "check", "--op", "type1", "--postulates", "all", "--atoms", "4"
         )
         assert code == 2
 
-    def test_pair_postulate_three_atoms_exhaustive_exits_2(self, capsys):
-        code, _, err = run(
-            capsys, "check", "--op", "type1", "--postulates", "D12", "--atoms", "3", "--mode", "exhaustive"
-        )
+    def test_pair_postulate_four_atoms_exits_2(self, capsys):
+        code, _, err = run(capsys, "check", "--op", "type1", "--postulates", "D12", "--atoms", "4")
         assert code == 2
+        assert err == "error: checker limited to |Σ| <= 3, got 4\n"
 
     def test_unknown_postulate_exits_2(self, capsys):
         code, _, _ = run(capsys, "check", "--op", "type1", "--postulates", "D99", "--atoms", "2")
         assert code == 2
 
-    def test_sample_mode_seeded(self, capsys):
-        args = (
-            "check", "--op", "type1", "--postulates", "D8", "--atoms", "2",
-            "--mode", "sample", "--seed", "5", "--count", "50",
-        )
-        code1, out1, _ = run(capsys, *args)
-        code2, out2, _ = run(capsys, *args)
-        assert code1 == code2 == 0
-        assert out1 == out2
+    @pytest.mark.parametrize(
+        "flags",
+        [["--mode", "sample"], ["--mode", "exhaustive"], ["--seed", "5"], ["--count", "50"]],
+        ids=" ".join,
+    )
+    def test_sample_mode_flags_exit_2(self, capsys, flags):
+        # every case is decided exhaustively; there is no sample mode to select
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--op", "type1", "--postulates", "D1", "--atoms", "2", *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_out_file(self, capsys, tmp_path):
         p = tmp_path / "report.json"
@@ -335,8 +337,6 @@ class TestExitCodeContract:
         "argv",
         [
             ["apply", PSI1, "--formula", "a", "--op", "type1", "--steps", "-1"],
-            ["check", "--op", "type1", "--postulates", "D1", "--atoms", "2",
-             "--mode", "sample", "--count", "-1"],
             ["enumerate", "--atoms", "2", "--limit", "-1"],
             ["sat", PSI1, "--formula", "a", "--constraints", "DR8", "--limit", "-1"],
         ],
@@ -348,3 +348,28 @@ class TestExitCodeContract:
         err = capsys.readouterr().err
         assert "must be nonnegative, got -1" in err
         assert "Traceback" not in err
+
+
+def readme_commands():
+    """Every ``decrement ...`` command in README.md's fenced code blocks,
+    backslash continuations joined, as an argv without the program name."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("decrement "):
+                commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+class TestReadmeCommands:
+    def test_readme_has_commands(self):
+        assert len(readme_commands()) >= 10
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+    def test_command_parses(self, capsys, argv):
+        # a documented flag that the parser no longer knows exits 2
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit as exc:  # --version prints and exits 0
+            assert exc.code == 0, capsys.readouterr().err
