@@ -79,7 +79,6 @@ from decrement.state import (
 COUNTEREXAMPLE_CAP = 5
 
 CHECKER_MAX_ATOMS = 3
-REPRESENTATION_MAX_ATOMS = 2
 
 
 class DomainTooLargeError(ValueError):
@@ -146,7 +145,10 @@ _DR_BITS = {PostulateId(f"DR{k}"): 1 << (k - 8) for k in range(8, 16)}
 
 
 def _domain(n_atoms: int) -> str:
-    """The domain every report and matrix names: all cases over n atoms."""
+    """The domain every report and matrix names: all cases over n atoms.
+    Raises DomainTooLargeError past ``CHECKER_MAX_ATOMS``."""
+    if n_atoms > CHECKER_MAX_ATOMS:
+        raise DomainTooLargeError(f"checker limited to |Σ| <= {CHECKER_MAX_ATOMS}, got {n_atoms}")
     return f"exhaustive |Σ|={n_atoms}"
 
 
@@ -184,12 +186,6 @@ class ConformanceMatrix:
     operators: tuple[str, ...]
     postulates: tuple[str, ...]
     reports: list[CheckReport]
-
-    def report_for(self, kind: OperatorKind, postulate: PostulateId) -> CheckReport:
-        for rep in self.reports:
-            if rep.operator == kind.value and rep.postulate == postulate.value:
-                return rep
-        raise KeyError((kind, postulate))
 
     def failures(self) -> list[CheckReport]:
         return [r for r in self.reports if r.outcome == "fail"]
@@ -515,16 +511,12 @@ def _counterexample(
     }
 
 
-def _failure(rec: Postulate, ranks: tuple, values: tuple, witness: dict, n_atoms: int):
+def _failure(variables: tuple, ranks: tuple, values: tuple, witness: dict, n_atoms: int):
     """(key, case) of a failing case, the case as _counterexample takes it."""
-    formulas = dict(zip(rec.variables, values))
+    formulas = dict(zip(variables, values))
     worlds = {"omega": formulas.pop("omega")} if "omega" in formulas else {}
     worlds.update(witness)
     return _case_key(ranks, formulas, worlds, n_atoms), (ranks, formulas, worlds)
-
-
-def _smallest(failures: list) -> list:
-    return heapq.nsmallest(COUNTEREXAMPLE_CAP, failures, key=itemgetter(0))
 
 
 def _run_chunk(
@@ -538,7 +530,7 @@ def _run_chunk(
 
     Returns (cases, failures): each class counts its orbit size, and the
     failures are the failing representatives as (ranks, values);
-    ``_orbit_failures`` expands them.
+    ``_orbit_failures`` picks the counterexamples from their orbits.
     """
     code = OperatorKind(kind_value).code
     rec = REGISTRY[PostulateId(pid_value)]
@@ -552,32 +544,35 @@ def _run_chunk(
     return cases, failures
 
 
-def _orbit_failures(rec: Postulate, code: int, n_atoms: int, failing: list) -> list[tuple]:
-    """The smallest failures among the members of the failing orbits.
+def _orbit_failures(variables: tuple, failing: list, member_failures: Callable, n_atoms: int) -> list[dict]:
+    """The counterexamples of the smallest failures in the failing orbits,
+    given by their representatives as (ranks, values).
 
-    Every member of an orbit has its representative's layer count, the
-    first part of the key, so the smallest failures lie in the failing
-    orbits of the fewest layers: those are expanded, a layer count at a
-    time, until the cap is reached.  Each member runs through the
-    evaluator, which gives its own witness.
+    Every member of a failing orbit fails, and the key without the witness
+    already orders the members.  So the ``COUNTEREXAMPLE_CAP`` smallest keys
+    are found a layer count at a time, fewest layers first, and only those
+    members go through ``member_failures(ranks, values)``, which returns
+    their (key, counterexample) records.
     """
-    failures: list[tuple] = []
-    found = 0
     def top(case):  # a representative's ranks ascend
         return case[0][-1]
 
+    def key(member):
+        return _failure(variables, *member, {}, n_atoms)[0]
+
+    chosen: list[tuple] = []
     for _, group in groupby(sorted(failing, key=top), key=top):
-        if found >= COUNTEREXAMPLE_CAP:
+        members = (m for ranks, values in group for m in orbit(variables, ranks, values))
+        chosen += heapq.nsmallest(COUNTEREXAMPLE_CAP - len(chosen), members, key=key)
+        if len(chosen) == COUNTEREXAMPLE_CAP:
             break
-        for rep_ranks, rep_values in group:
-            for ranks, values in orbit(rec.variables, rep_ranks, rep_values):
-                ok, witness = rec.evaluate(ranks, code, *values)
-                if not ok:
-                    found += 1
-                    failures.append(_failure(rec, ranks, values, witness, n_atoms))
-                    if len(failures) > 4 * COUNTEREXAMPLE_CAP:
-                        failures = _smallest(failures)
-    return _smallest(failures)
+    records = []
+    for ranks, values in chosen:
+        found = member_failures(ranks, values)
+        if not found:
+            raise RuntimeError(f"case {ranks} {values} passes, but its orbit's representative fails")
+        records += found
+    return [doc for _, doc in heapq.nsmallest(COUNTEREXAMPLE_CAP, records, key=itemgetter(0))]
 
 
 def check_postulate(
@@ -591,21 +586,18 @@ def check_postulate(
     """Quantify one postulate over states, formula classes, and worlds.
 
     Decides every case of the space, one case class (orbit under
-    relabelling of worlds) at a time, for every postulate up to
-    ``CHECKER_MAX_ATOMS`` atoms; more atoms raise ``DomainTooLargeError``.
-    Workers split the case classes; the failing orbits are expanded once,
-    after they finish.  Reports are deterministic for a given signature,
-    whatever the worker count.  At most one process per usable CPU is
-    started, whatever ``workers`` asks for.  ``conformance_matrix`` passes
-    its one pool as ``_pool``; without it the call starts its own.
+    relabelling of worlds) at a time, up to ``CHECKER_MAX_ATOMS`` atoms;
+    more atoms raise ``DomainTooLargeError``.  Workers split the case
+    classes; ``_orbit_failures`` then picks the counterexamples.  Reports
+    are deterministic for a given signature, whatever the worker count.
+    At most one process per usable CPU is started, whatever ``workers``
+    asks for.  ``conformance_matrix`` passes its one pool as ``_pool``;
+    without it the call starts its own.
     """
     kind = OperatorKind(kind)
     pid = PostulateId(postulate)
     n_atoms = sig.n_atoms
-    if n_atoms > CHECKER_MAX_ATOMS:
-        raise DomainTooLargeError(
-            f"checker limited to |Σ| <= {CHECKER_MAX_ATOMS}, got {n_atoms}"
-        )
+    domain = _domain(n_atoms)
     rec = REGISTRY[pid]
 
     total = case_class_count(rec.variables, rec.above, 1 << n_atoms)
@@ -622,13 +614,19 @@ def check_postulate(
 
     cases = sum(r[0] for r in results)
     failing = [f for _, chunk_failures in results for f in chunk_failures]
-    failures = _orbit_failures(rec, kind.code, n_atoms, failing)
-    counterexamples = [_counterexample(*case, n_atoms) for _, case in failures]
 
+    def member_failures(ranks, values):
+        ok, witness = rec.evaluate(ranks, kind.code, *values)
+        if ok:
+            return []
+        key, case = _failure(rec.variables, ranks, values, witness, n_atoms)
+        return [(key, _counterexample(*case, n_atoms))]
+
+    counterexamples = _orbit_failures(rec.variables, failing, member_failures, n_atoms)
     return CheckReport(
         postulate=pid.value,
         operator=kind.value,
-        domain=f"{_domain(n_atoms)}; {rec.note}",
+        domain=f"{domain}; {rec.note}",
         outcome="fail" if counterexamples else "pass",
         cases=cases,
         counterexamples=counterexamples,
@@ -744,6 +742,38 @@ def successor_satisfiability(
 
 # --- representation check ------------------------------------------------------
 
+def _representation_failures(ranks: tuple, code: int, n_atoms: int) -> list[tuple]:
+    """Every violation of conditions (i)-(iv) on one state, as ((key, detail), counterexample)."""
+    full = (1 << len(ranks)) - 1
+    bel = bel_mask(ranks)
+    out: list[tuple] = []
+
+    def record(formulas, worlds, detail):
+        doc = _counterexample(ranks, formulas, worlds, n_atoms)
+        doc["detail"] = detail
+        out.append(((_case_key(ranks, formulas, worlds, n_atoms), detail), doc))
+
+    try:
+        ind = induced_ranks(ranks, code)
+    except NotPreorderError as exc:
+        record({}, {}, f"(i) {exc}")
+        return out
+    if bel_mask(ind) != bel:  # ind is compressed: faithful iff bel is its rank-0 layer
+        record({}, {}, "(ii) induced order not faithful")
+        return out
+    for a in range(full):
+        if achieve_bel(ranks, a, code) != bel | min_rank_mask(ind, full & ~a):
+            record({"alpha": a}, {}, "(iii) contraction semantics mismatch")
+        if bel & ~a:
+            continue
+        ind_succ = induced_ranks(step_ranks(ranks, a, code), code)
+        for pid, bit in islice(_DR_BITS.items(), 6):  # DR8..DR13
+            ok, witness = _pair_result(_kernel.dr_violation(ind, ind_succ, a, bit))
+            if not ok:
+                record({"alpha": a}, witness, f"(iv) {pid.value} violated")
+    return out
+
+
 def verify_representation(kind: Union[OperatorKind, str], sig: Signature) -> CheckReport:
     """Check that achieve results alone reconstruct a working assignment.
 
@@ -751,58 +781,27 @@ def verify_representation(kind: Union[OperatorKind, str], sig: Signature) -> Che
     preorder, (ii) it is faithful to the state's belief models, (iii) the
     achieve results match contraction semantics computed from the induced
     order, (iv) every believed step satisfies DR8..DR13 with respect to the
-    induced orders of the state and its successor.
+    induced orders of the state and its successor.  Decided one order class
+    at a time, like ``check_postulate``, up to ``CHECKER_MAX_ATOMS`` atoms.
     """
     kind = OperatorKind(kind)
     n_atoms = sig.n_atoms
-    if n_atoms > REPRESENTATION_MAX_ATOMS:
-        raise DomainTooLargeError(
-            f"representation check limited to |Σ| <= {REPRESENTATION_MAX_ATOMS}"
-        )
-    code = kind.code
-    n = sig.n_worlds
-    full = (1 << n) - 1
+    domain = _domain(n_atoms)
     cases = 0
-    failures: list[tuple[tuple, dict]] = []
+    failing: list[tuple] = []
+    for ranks, values, size in case_classes((), {}, sig.n_worlds):
+        cases += size
+        if _representation_failures(ranks, kind.code, n_atoms):
+            failing.append((ranks, values))
 
-    def record(ranks, formulas, worlds, detail):
-        doc = _counterexample(ranks, formulas, worlds, n_atoms)
-        doc["detail"] = detail
-        failures.append(((_case_key(ranks, formulas, worlds, n_atoms), detail), doc))
+    def member_failures(ranks, values):
+        return _representation_failures(ranks, kind.code, n_atoms)
 
-    for ranks in _kernel.weak_order_ranks(n):
-        cases += 1
-        bel = bel_mask(ranks)
-        try:
-            ind = induced_ranks(ranks, code)
-        except NotPreorderError as exc:
-            record(ranks, {}, {}, f"(i) {exc}")
-            continue
-        if bel_mask(ind) != bel:  # ind is compressed: faithful iff bel is its rank-0 layer
-            record(ranks, {}, {}, "(ii) induced order not faithful")
-            continue
-        for a in range(full + 1):
-            if a == full:
-                continue
-            expected = bel | min_rank_mask(ind, full & ~a)
-            if achieve_bel(ranks, a, code) != expected:
-                record(ranks, {"alpha": a}, {}, "(iii) contraction semantics mismatch")
-        for a in range(full + 1):
-            if a == full or bel & ~a:
-                continue
-            succ = step_ranks(ranks, a, code)
-            ind_succ = induced_ranks(succ, code)
-            for pid, bit in islice(_DR_BITS.items(), 6):  # DR8..DR13
-                ok, witness = _pair_result(_kernel.dr_violation(ind, ind_succ, a, bit))
-                if not ok:
-                    record(ranks, {"alpha": a}, witness, f"(iv) {pid.value} violated")
-
-    failures.sort(key=lambda kv: kv[0])
-    counterexamples = [doc for _, doc in failures[:COUNTEREXAMPLE_CAP]]
+    counterexamples = _orbit_failures((), failing, member_failures, n_atoms)
     return CheckReport(
         postulate="representation",
         operator=kind.value,
-        domain=f"{_domain(n_atoms)}; conditions (i)-(iv) over all states",
+        domain=f"{domain}; conditions (i)-(iv) over all states",
         outcome="fail" if counterexamples else "pass",
         cases=cases,
         counterexamples=counterexamples,

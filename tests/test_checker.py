@@ -395,9 +395,9 @@ class TestVerifyRepresentation:
         assert not any("(i)" == ce["detail"][:3] for ce in report.counterexamples)
 
     def test_domain_cap(self):
-        sig3 = Signature(("a", "b", "c"))
-        with pytest.raises(DomainTooLargeError):
-            verify_representation(T1, sig3)
+        sig4 = Signature(("a", "b", "c", "d"))
+        with pytest.raises(DomainTooLargeError, match=r"^checker limited to \|Σ\| <= 3, got 4$"):
+            verify_representation(T1, sig4)
 
 
 class TestReplaySoundness:
@@ -628,6 +628,50 @@ class TestOrbitCheckerAgainstBruteForce:
         self.assert_same(kind, pid, 2)
 
 
+class TestKeyFirstExpansion:
+    """Counterexamples are chosen by key: the evaluator runs once per case
+    class and once per reported member, and a failing orbit whose chosen
+    member passes is an error, not a shorter report."""
+
+    @staticmethod
+    def plant(monkeypatch, pid, wrap):
+        """Replace pid's evaluator by wrap(evaluator); returns the record."""
+        import dataclasses
+
+        import decrement.checker as checker
+
+        rec = checker.REGISTRY[pid]
+        monkeypatch.setitem(checker.REGISTRY, pid, dataclasses.replace(rec, evaluate=wrap(rec.evaluate)))
+        return rec
+
+    def test_evaluator_runs_once_per_class_and_reported_member(self, monkeypatch):
+        from decrement.checker import COUNTEREXAMPLE_CAP
+        from decrement.profiles import case_class_count
+
+        calls = []
+
+        def counted(evaluate):
+            def run(*args):
+                calls.append(args)
+                return evaluate(*args)
+            return run
+
+        rec = self.plant(monkeypatch, PostulateId.DR12, counted)
+        report = check_postulate(IN, PostulateId.DR12, SIG2)
+        assert len(report.counterexamples) == COUNTEREXAMPLE_CAP
+        assert len(calls) <= case_class_count(rec.variables, rec.above, 4) + COUNTEREXAMPLE_CAP
+
+    def test_passing_member_of_failing_orbit_raises(self, monkeypatch):
+        # fails on the representatives, whose ranks never decrease, but
+        # passes on every other member of their orbits
+        def non_decreasing_fail(evaluate):
+            return lambda ranks, code: (list(ranks) != sorted(ranks), {})
+
+        self.plant(monkeypatch, PostulateId.SFA1, non_decreasing_fail)
+        with pytest.raises(RuntimeError, match="passes"):
+            check_postulate(IN, PostulateId.SFA1, SIG2)
+
+
 def draw_class(pid, n_worlds, rng):
     """(ranks, values) of a case class drawn uniformly from pid's space."""
     from decrement.checker import REGISTRY
@@ -685,15 +729,18 @@ class TestThreeAtoms:
         assert report.outcome == "pass"
         assert report.cases == 139_733_760  # 545,835 orders x 256 alpha classes
 
-    # sha256 of CheckReport.to_json(); both equal a case-by-case run of the
-    # checker that walked every order (26 and 17 min on two workers)
+    # sha256 of CheckReport.to_json(); the first two equal a case-by-case
+    # run of the checker that walked every order (26 and 17 min on two
+    # workers), the DR14 ones the same cells of the README three-atom matrix
     @pytest.mark.parametrize(
         "kind, pid, sha256",
         [
             (IN, PostulateId.DR12, "faf261cc219cf30f5795204fc092a966e0508ede04699bae1621e17305360566"),
             (T1, PostulateId.DR15, "bffe8217c39b0e4caa0d87c27d3c7d99a781b6aea5d553071bfe3e6fb2947898"),
+            (T2, PostulateId.DR14, "eabaea2632c78a696efe3a04071bfb46731380d11e44898525f4865fd5a55011"),
+            (IN, PostulateId.DR14, "c9d2867bbb69588c123fe9e08cac6db5a550c4898d4ce248a7c241b954eff433"),
         ],
-        ids=["instant-DR12", "type1-DR15"],
+        ids=["instant-DR12", "type1-DR15", "type2-DR14", "instant-DR14"],
     )
     def test_failing_cells_pinned(self, kind, pid, sha256):
         report = check_postulate(kind, pid, Signature("abc"))

@@ -6,8 +6,9 @@ class, a recursive ``models`` that re-reads the signature at every node,
 a ``models`` that walks a per-call closure, a give-up scan that asks
 ``giveup_lt_masks`` twice per class, and the kernel's per-world
 ``frontal_bits`` and ``step_ranks`` with their sort-based key
-compression, and the case-class recursion that rebuilt its layer tables
-per call, kept per-variable mask tuples and walked to a chunk's start.
+compression, the case-class recursion that rebuilt its layer tables
+per call, kept per-variable mask tuples and walked to a chunk's start,
+and the representation check that walked every order one at a time.
 The library's versions must agree with them on every input, errors
 included.
 """
@@ -47,16 +48,30 @@ from decrement.logic import (
     models,
     parse_formula,
 )
-from decrement.checker import REGISTRY, conformance_matrix
+from decrement.checker import (
+    _DR_BITS,
+    COUNTEREXAMPLE_CAP,
+    REGISTRY,
+    CheckReport,
+    _case_key,
+    _counterexample,
+    _domain,
+    _pair_result,
+    conformance_matrix,
+    verify_representation,
+)
 from decrement.cli import main
 from decrement.operators import (
     OperatorKind,
     achieve,
+    achieve_bel,
     achieve_ranks,
     giveup_ll_masks,
     giveup_lt_masks,
     induced_order,
+    induced_ranks,
     iterate,
+    NotPreorderError,
     step,
     step_ranks,
 )
@@ -765,3 +780,87 @@ class TestCaseClassOracle:
         assert main(["matrix", "--ops", "all", "--postulates", "all", "--atoms", "2",
                      "--workers", "2", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == MATRIX2_SHA256
+
+
+# --- representation check -----------------------------------------------------
+
+def reference_verify_representation(kind, sig) -> CheckReport:
+    """Conditions (i)-(iv) of ``verify_representation``, evaluated on every
+    order of the universe, with every violation sorted by its key."""
+    kind = OperatorKind(kind)
+    n_atoms = sig.n_atoms
+    code = kind.code
+    n = sig.n_worlds
+    full = (1 << n) - 1
+    cases = 0
+    failures: list[tuple[tuple, dict]] = []
+
+    def record(ranks, formulas, worlds, detail):
+        doc = _counterexample(ranks, formulas, worlds, n_atoms)
+        doc["detail"] = detail
+        failures.append(((_case_key(ranks, formulas, worlds, n_atoms), detail), doc))
+
+    for ranks in _kernel.weak_order_ranks(n):
+        cases += 1
+        bel = bel_mask(ranks)
+        try:
+            ind = induced_ranks(ranks, code)
+        except NotPreorderError as exc:
+            record(ranks, {}, {}, f"(i) {exc}")
+            continue
+        if bel_mask(ind) != bel:  # ind is compressed: faithful iff bel is its rank-0 layer
+            record(ranks, {}, {}, "(ii) induced order not faithful")
+            continue
+        for a in range(full + 1):
+            if a == full:
+                continue
+            expected = bel | min_rank_mask(ind, full & ~a)
+            if achieve_bel(ranks, a, code) != expected:
+                record(ranks, {"alpha": a}, {}, "(iii) contraction semantics mismatch")
+        for a in range(full + 1):
+            if a == full or bel & ~a:
+                continue
+            succ = step_ranks(ranks, a, code)
+            ind_succ = induced_ranks(succ, code)
+            for pid, bit in islice(_DR_BITS.items(), 6):  # DR8..DR13
+                ok, witness = _pair_result(_kernel.dr_violation(ind, ind_succ, a, bit))
+                if not ok:
+                    record(ranks, {"alpha": a}, witness, f"(iv) {pid.value} violated")
+
+    failures.sort(key=lambda kv: kv[0])
+    counterexamples = [doc for _, doc in failures[:COUNTEREXAMPLE_CAP]]
+    return CheckReport(
+        postulate="representation",
+        operator=kind.value,
+        domain=f"{_domain(n_atoms)}; conditions (i)-(iv) over all states",
+        outcome="fail" if counterexamples else "pass",
+        cases=cases,
+        counterexamples=counterexamples,
+    )
+
+
+class TestRepresentationOracle:
+    """The representation check decides one order class at a time and
+    evaluates only the members it reports; the reference walks every order."""
+
+    @pytest.mark.parametrize("kind", list(OperatorKind))
+    @pytest.mark.parametrize("n_atoms", [1, 2])
+    def test_matches_reference(self, kind, n_atoms):
+        sig = Signature(("a", "b")[:n_atoms])
+        want = reference_verify_representation(kind, sig).to_json()
+        assert verify_representation(kind, sig).to_json() == want
+
+    # sha256 of CheckReport.to_json(); each equals the reference's report
+    @pytest.mark.parametrize(
+        "kind, outcome, sha256",
+        [
+            ("type1", "pass", "404adb9d579e92e31656b914c98d03f3cc8a4b6862192496c19d11c724ccac1f"),
+            ("type2", "pass", "7e86db37dfec3431799f625f08fc0e1805b3d8fc88e19ef117109f50d3d612b4"),
+            ("instant", "fail", "1af3dcc27adf050c74b68fb17fd837fa59dce7006629fcc42a883bb17bf57fb1"),
+        ],
+        ids=["type1", "type2", "instant"],
+    )
+    def test_three_atom_reports_pinned(self, kind, outcome, sha256):
+        report = verify_representation(kind, Signature(("a", "b", "c")))
+        assert (report.outcome, report.cases) == (outcome, 545_835)
+        assert hashlib.sha256(report.to_json().encode("utf-8")).hexdigest() == sha256
