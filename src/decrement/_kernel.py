@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from math import comb
 
-BACKEND = "python"
-
 KIND_TYPE1 = 0
 KIND_TYPE2 = 1
 KIND_INSTANT = 2
@@ -63,34 +61,35 @@ def _ordered_ranks(n: int, compat):
     after it.  With ``compat`` (see dr_successors), v must also lie in
     ``compat[i][j][vec[j]]`` for every earlier world j.
     """
-    vec = [0] * n
-    last = n - 1
+    return _place(n, compat, [0] * n, 0, 0, 0, -1)
 
-    def rec(i: int, used: int, count: int, top: int):
-        budget = last - i
-        allowed = -1
-        if compat is not None:
-            row = compat[i]
-            for j in range(i):
-                allowed &= row[j][vec[j]]
-        for v in range(n):
+
+def _place(n: int, compat, vec: list, i: int, used: int, count: int, top: int):
+    # Ranks of worlds i.. of vec, whose worlds 0..i-1 are placed: ``used``
+    # is their rank set as a mask, ``count`` its size, ``top`` its maximum.
+    # A module-level recursion, so a stream leaves no reference cycle.
+    budget = n - 1 - i
+    allowed = -1
+    if compat is not None:
+        row = compat[i]
+        for j in range(i):
+            allowed &= row[j][vec[j]]
+    for v in range(n):
+        if v > top:
+            new_top, new_count = v, count + 1
+        else:
+            new_top, new_count = top, count + (not (used >> v) & 1)
+        if new_top + 1 - new_count > budget:  # too many unused ranks
             if v > top:
-                new_top, new_count = v, count + 1
-            else:
-                new_top, new_count = top, count + (not (used >> v) & 1)
-            if new_top + 1 - new_count > budget:  # too many unused ranks
-                if v > top:
-                    break  # a higher v leaves more
-                continue
-            if not (allowed >> v) & 1:
-                continue
-            vec[i] = v
-            if i == last:
-                yield tuple(vec)
-            else:
-                yield from rec(i + 1, used | (1 << v), new_count, new_top)
-
-    return rec(0, 0, 0, -1)
+                break  # a higher v leaves more
+            continue
+        if not (allowed >> v) & 1:
+            continue
+        vec[i] = v
+        if not budget:  # the last world
+            yield tuple(vec)
+        else:
+            yield from _place(n, compat, vec, i + 1, used | (1 << v), new_count, new_top)
 
 
 def compress_keys(keys) -> tuple:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from decrement import __version__, kernel_backend
 from decrement._kernel import weak_order_count
@@ -47,6 +48,8 @@ def _load_state(path: str) -> EpistemicState:
         raise CliError(f"cannot read state file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise CliError(f"state file is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"state file is not UTF-8: {exc}") from None
     try:
         return state_from_doc(doc)
     except StateFormatError as exc:
@@ -80,13 +83,20 @@ def _print_state(state: EpistemicState, title: str) -> None:
     print(_render_layers(doc["layers"]))
 
 
-def _emit_json(doc: dict, out_path: str | None) -> None:
-    text = json.dumps(doc, ensure_ascii=False)
-    if out_path:
+def _write_out(text: str, out_path: str | None) -> None:
+    """Write text to the --out file, or to stdout when there is none."""
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write --out file: {exc}") from None
+
+
+def _emit_json(doc: dict, out_path: str | None) -> None:
+    _write_out(json.dumps(doc, ensure_ascii=False) + "\n", out_path)
 
 
 def _postulate_list(spec: str) -> list[PostulateId]:
@@ -158,12 +168,7 @@ def _run_matrix(args, kinds: list[OperatorKind]) -> int:
         matrix = conformance_matrix(kinds, postulates, sig, workers=args.workers)
     except DomainTooLargeError as exc:
         raise CliError(str(exc)) from None
-    text = matrix.to_json()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(matrix.to_json(), args.out)
     if args.expect_pass and matrix.failures():
         failed = ", ".join(f"{r.operator}/{r.postulate}" for r in matrix.failures())
         print(f"expect-pass violated: {failed}", file=sys.stderr)
@@ -232,14 +237,15 @@ def cmd_enumerate(args) -> int:
 
 # --- argument parsing -----------------------------------------------------------
 
-def _nonnegative_int(text: str) -> int:
-    """argparse type for step and output counts."""
+def _count(text: str, low: int = 0) -> int:
+    """argparse type for step, output and worker counts of at least ``low``."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    if value < low:
+        bound = "nonnegative" if low == 0 else f"at least {low}"
+        raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
     return value
 
 
@@ -247,7 +253,10 @@ def _add_check_flags(sub) -> None:
     sub.add_argument("--postulates", default="all", help="comma list of postulate ids, or 'all'")
     sub.add_argument("--atoms", type=int, required=True, help="signature size")
     sub.add_argument(
-        "--workers", type=int, default=1, help="parallel worker processes (at most one per CPU)"
+        "--workers",
+        type=partial(_count, low=1),
+        default=1,
+        help="parallel worker processes (at most one per CPU)",
     )
     sub.add_argument("--expect-pass", action="store_true", help="exit 1 if any cell fails")
     sub.add_argument("--out", help="write JSON to this file instead of stdout")
@@ -274,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state")
     p.add_argument("--formula", required=True)
     p.add_argument("--op", required=True, help="type1, type2, or instant")
-    p.add_argument("--steps", type=_nonnegative_int, default=None, help="number of steps (default 1)")
+    p.add_argument("--steps", type=_count, default=None, help="number of steps (default 1)")
     p.add_argument("--achieve", action="store_true", help="repeat until the belief drops")
     p.add_argument("--out", help="write the result JSON to this file")
     p.set_defaults(func=cmd_apply)
@@ -300,13 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state")
     p.add_argument("--formula", required=True)
     p.add_argument("--constraints", required=True, help="comma list from DR8..DR15")
-    p.add_argument("--limit", type=_nonnegative_int, default=10, help="successors to print")
+    p.add_argument("--limit", type=_count, default=10, help="successors to print")
     p.add_argument("--out", help="write the result JSON to this file")
     p.set_defaults(func=cmd_sat)
 
     p = subs.add_parser("enumerate", help="stream every total preorder for a signature size")
     p.add_argument("--atoms", type=int, required=True)
-    p.add_argument("--limit", type=_nonnegative_int, default=None)
+    p.add_argument("--limit", type=_count, default=None)
     p.add_argument("--count", action="store_true", help="print only the number of preorders")
     p.set_defaults(func=cmd_enumerate)
 

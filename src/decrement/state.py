@@ -116,6 +116,8 @@ def state_from_doc(doc: dict) -> EpistemicState:
         layers = doc["layers"]
     except (KeyError, TypeError) as exc:
         raise StateFormatError(f"state document missing field: {exc}") from None
+    if not isinstance(atoms, list):
+        raise StateFormatError("atoms must be a list of atom names")
     try:
         sig = Signature(atoms)
     except (ValueError, TypeError) as exc:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decrement import _kernel
 from decrement.checker import (
     ALL_POSTULATES,
     DomainTooLargeError,
@@ -546,18 +547,17 @@ class TestRegistry:
 def brute_cases(pid, n_worlds):
     """Every (ranks, values) case of pid's exhaustive space: each weak order
     times each assignment of the variables that meets the premises."""
-    from decrement._kernel import bel_mask, weak_order_ranks
     from decrement.checker import REGISTRY
 
     rec = REGISTRY[pid]
     full = (1 << n_worlds) - 1
-    for ranks in weak_order_ranks(n_worlds):
+    for ranks in _kernel.weak_order_ranks(n_worlds):
         cases = [()]
         for var in rec.variables:
             grown = []
             for values in cases:
                 alpha = dict(zip(rec.variables, values)).get("alpha", 0)
-                need = {"bel": bel_mask(ranks), "alpha": alpha, "~alpha": full & ~alpha}
+                need = {"bel": _kernel.bel_mask(ranks), "alpha": alpha, "~alpha": full & ~alpha}
                 low = need.get(rec.above.get(var), 0)
                 if var == "omega":
                     choices = range(n_worlds)

@@ -327,6 +327,9 @@ class TestVersion:
         assert project["version"] == decrement.__version__
 
 
+NEGATIVE = "must be nonnegative, got -1"
+
+
 class TestExitCodeContract:
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -334,19 +337,49 @@ class TestExitCodeContract:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["apply", PSI1, "--formula", "a", "--op", "type1", "--steps", "-1"],
-            ["enumerate", "--atoms", "2", "--limit", "-1"],
-            ["sat", PSI1, "--formula", "a", "--constraints", "DR8", "--limit", "-1"],
+            (["apply", PSI1, "--formula", "a", "--op", "type1", "--steps", "-1"], NEGATIVE),
+            (["enumerate", "--atoms", "2", "--limit", "-1"], NEGATIVE),
+            (["sat", PSI1, "--formula", "a", "--constraints", "DR8", "--limit", "-1"], NEGATIVE),
+            (["matrix", "--atoms", "1", "--workers", "0"], "must be at least 1, got 0"),
+            (["check", "--op", "type1", "--atoms", "1", "--workers", "-3"], "must be at least 1, got -3"),
         ],
+        ids=["apply-steps", "enumerate-limit", "sat-limit", "matrix-workers", "check-workers"],
     )
-    def test_negative_count_exits_2(self, capsys, argv):
+    def test_count_below_bound_exits_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "must be nonnegative, got -1" in err
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_state_file_not_utf8_exits_2(self, capsys, tmp_path):
+        p = tmp_path / "latin1.json"
+        p.write_bytes('{"atoms": ["\u00e4"], "layers": [["1", "0"]]}'.encode("latin-1"))
+        code, _, err = run(capsys, "show", str(p))
+        assert code == 2
+        assert err.startswith("error: state file is not UTF-8")
+
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["show", PSI1],
+            ["apply", PSI1, "--formula", "a", "--op", "type1"],
+            ["achieve", PSI1, "--formula", "a", "--op", "type1"],
+            ["sat", PSI1, "--formula", "a", "--constraints", "DR8"],
+            ["check", "--op", "type1", "--postulates", "C1", "--atoms", "1"],
+            ["matrix", "--ops", "type1", "--postulates", "C1", "--atoms", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, argv, where):
+        out = tmp_path if where == "directory" else tmp_path / "missing" / "out.json"
+        code, _, err = run(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: cannot write --out file")
         assert "Traceback" not in err
 
 

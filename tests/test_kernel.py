@@ -7,13 +7,14 @@ the weak-order stream.
 ``dr_violation`` must report the first pair the DR definitions reject.
 """
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import decrement
 from decrement import _kernel
-from decrement._kernel import _pykernel
 from decrement.checker import successor_satisfiability
 from decrement.logic import Signature, parse_formula
 from decrement.preorder import TotalPreorder, enumerate_preorders
@@ -30,7 +31,7 @@ def problems(draw, sizes):
     """(before, amask, cmask) with ``before`` a compressed rank vector."""
     n = draw(sizes)
     keys = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-    before = _pykernel.compress_keys(keys)
+    before = _kernel.compress_keys(keys)
     return before, draw(st.integers(0, (1 << n) - 1)), draw(st.integers(0, 255))
 
 
@@ -111,8 +112,8 @@ DR_BITS = {f"DR{8 + i}": 1 << i for i in range(8)}
 def order_pairs(draw):
     n = draw(st.integers(1, 6))
     vec = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
-    before = _pykernel.compress_keys(draw(vec))
-    after = _pykernel.compress_keys(draw(vec))
+    before = _kernel.compress_keys(draw(vec))
+    after = _kernel.compress_keys(draw(vec))
     return before, after, draw(st.integers(0, (1 << n) - 1)), draw(st.integers(0, 255))
 
 
@@ -127,8 +128,8 @@ class TestDrViolation:
             if cmask & DR_BITS[name]
         }
         expected = min(pairs) if pairs else None
-        assert _pykernel.dr_violation(before, after, amask, cmask) == expected
-        assert _pykernel.dr_satisfied(before, after, amask, cmask) == (expected is None)
+        assert _kernel.dr_violation(before, after, amask, cmask) == expected
+        assert _kernel.dr_satisfied(before, after, amask, cmask) == (expected is None)
 
     @pytest.mark.parametrize(
         "before, after",
@@ -141,14 +142,14 @@ class TestDrViolation:
     )
     def test_bad_lengths_raise(self, before, after):
         with pytest.raises(ValueError):
-            _pykernel.dr_violation(before, after, 1, 255)
+            _kernel.dr_violation(before, after, 1, 255)
         with pytest.raises(ValueError):
-            _pykernel.dr_satisfied(before, after, 1, 255)
+            _kernel.dr_satisfied(before, after, 1, 255)
 
     @pytest.mark.parametrize("before", [(), (0,) * 9])
     def test_successors_reject_bad_universe(self, before):
         with pytest.raises(ValueError):
-            _pykernel.dr_successors(before, 1, 255)
+            _kernel.dr_successors(before, 1, 255)
 
 
 class TestInputChecks:
@@ -200,6 +201,29 @@ class TestWeakOrderCount:
             _kernel.weak_order_count(9)
 
 
+class TestCollectorQuiet:
+    """A consumed stream leaves no reference cycle for the garbage collector."""
+
+    @pytest.mark.parametrize(
+        "stream",
+        [
+            lambda: _kernel.weak_order_ranks(4),
+            lambda: _kernel.dr_successors((0, 1, 1, 2), 0b0101, 0b11),  # with rank masks
+            lambda: _kernel.dr_successors((0, 1, 1, 2), 0b0101, 0),  # without
+        ],
+        ids=["weak_order_ranks", "dr_successors", "dr_successors_unconstrained"],
+    )
+    def test_no_garbage(self, stream):
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in stream():
+                pass
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestUniverseCap:
     """One error class for more than MAX_UNIVERSE worlds, wherever it is hit."""
 
@@ -231,7 +255,7 @@ def rank_vectors_and_sets(draw):
     """(ranks, smask): a compressed vector on 1..8 worlds and a world set."""
     n = draw(st.integers(1, 8))
     keys = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-    return _pykernel.compress_keys(keys), draw(st.integers(0, (1 << n) - 1))
+    return _kernel.compress_keys(keys), draw(st.integers(0, (1 << n) - 1))
 
 
 class TestMasks:

@@ -25,7 +25,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from decrement import _kernel
-from decrement._kernel import KIND_INSTANT, KIND_TYPE1, KIND_TYPE2, bel_mask, compress_keys, min_rank_mask
 from decrement.logic import (
     _NODE_CLASSES,
     ATOM_PATTERN,
@@ -306,18 +305,18 @@ def reference_step_ranks(ranks, amask: int, kind: int) -> tuple:
     full = (1 << n) - 1
     amask &= full
     ranks = tuple(ranks)
-    bel = bel_mask(ranks)
+    bel = _kernel.bel_mask(ranks)
     if amask == full:
         return ranks
     if bel & ~amask:
         return ranks
-    if kind == KIND_INSTANT:
-        promoted = bel | min_rank_mask(ranks, full & ~amask)
+    if kind == _kernel.KIND_INSTANT:
+        promoted = bel | _kernel.min_rank_mask(ranks, full & ~amask)
         keys = [0 if (promoted >> w) & 1 else ranks[w] + 1 for w in range(n)]
-        return compress_keys(keys)
-    if kind not in (KIND_TYPE1, KIND_TYPE2):
+        return _kernel.compress_keys(keys)
+    if kind not in (_kernel.KIND_TYPE1, _kernel.KIND_TYPE2):
         raise ValueError(f"unknown operator kind code {kind}")
-    frontal = reference_frontal_bits(ranks, amask) if kind == KIND_TYPE2 else 0
+    frontal = reference_frontal_bits(ranks, amask) if kind == _kernel.KIND_TYPE2 else 0
     keys = []
     for w in range(n):
         r = ranks[w]
@@ -327,7 +326,7 @@ def reference_step_ranks(ranks, amask: int, kind: int) -> tuple:
             keys.append(2 * r)
         else:
             keys.append(2 * r - 2)
-    return compress_keys(keys)
+    return _kernel.compress_keys(keys)
 
 
 def reference_giveup_ll_masks(ranks: tuple, a: int, b: int, code: int) -> bool:
@@ -583,7 +582,7 @@ class TestGiveupOracle:
 
 # --- frontal_bits and step_ranks ----------------------------------------------
 
-KIND_CODES = (KIND_TYPE1, KIND_TYPE2, KIND_INSTANT)
+KIND_CODES = (_kernel.KIND_TYPE1, _kernel.KIND_TYPE2, _kernel.KIND_INSTANT)
 
 
 class TestStepOracle:
@@ -606,9 +605,9 @@ class TestStepOracle:
     )
     @settings(max_examples=400, deadline=None)
     def test_six_to_eight_worlds(self, keys, amask, believed):
-        ranks = compress_keys(keys)
+        ranks = _kernel.compress_keys(keys)
         if believed:  # a believed alpha, so that the step moves worlds more often
-            amask |= bel_mask(ranks)
+            amask |= _kernel.bel_mask(ranks)
         assert _kernel.frontal_bits(ranks, amask) == reference_frontal_bits(ranks, amask)
         for code in KIND_CODES:
             assert _kernel.step_ranks(ranks, amask, code) == reference_step_ranks(ranks, amask, code)
@@ -630,9 +629,9 @@ class TestStepOracle:
     )
     @settings(max_examples=200, deadline=None)
     def test_universes_past_eight_worlds(self, keys, amask, believed):
-        ranks = compress_keys(keys)
+        ranks = _kernel.compress_keys(keys)
         if believed:
-            amask |= bel_mask(ranks)
+            amask |= _kernel.bel_mask(ranks)
         assert _kernel.frontal_bits(ranks, amask) == reference_frontal_bits(ranks, amask)
         for code in KIND_CODES:
             assert _kernel.step_ranks(ranks, amask, code) == reference_step_ranks(ranks, amask, code)
@@ -641,7 +640,7 @@ class TestStepOracle:
 def reference_achieve(ranks: tuple, amask: int, kind: int) -> tuple[tuple, int]:
     # the step repeated until alpha is no longer believed
     steps = 0
-    while amask & ((1 << len(ranks)) - 1) != (1 << len(ranks)) - 1 and not bel_mask(ranks) & ~amask:
+    while amask & ((1 << len(ranks)) - 1) != (1 << len(ranks)) - 1 and not _kernel.bel_mask(ranks) & ~amask:
         ranks = reference_step_ranks(ranks, amask, kind)
         steps += 1
     return ranks, steps
@@ -654,7 +653,7 @@ WIDE_TEXTS = ("a", "a | b", "!(c & d)", "a -> (b <-> d)", "true", "!b")
 @st.composite
 def four_atom_states(draw):
     keys = draw(st.lists(st.integers(0, 5), min_size=16, max_size=16))
-    return EpistemicState(SIG4, TotalPreorder(compress_keys(keys)))
+    return EpistemicState(SIG4, TotalPreorder(_kernel.compress_keys(keys)))
 
 
 class TestSixteenWorlds:
@@ -680,8 +679,8 @@ class TestSixteenWorlds:
     @pytest.mark.parametrize("command", [("apply", "--steps", "2"), ("apply", "--achieve"), ("achieve",)])
     def test_cli(self, command, kind, capsys, tmp_path):
         amask = models(parse_formula("a | b", SIG4), SIG4)
-        ranks = compress_keys([2 * (w // 4) + (not amask >> w & 1) for w in range(16)])  # a | b believed
-        assert not bel_mask(ranks) & ~amask
+        ranks = _kernel.compress_keys([2 * (w // 4) + (not amask >> w & 1) for w in range(16)])  # a | b believed
+        assert not _kernel.bel_mask(ranks) & ~amask
         path = tmp_path / "four.json"
         path.write_text(json.dumps(state_to_doc(EpistemicState(SIG4, TotalPreorder(ranks)))))
         code = main([command[0], str(path), "--formula", "a | b", "--op", kind.value, *command[1:]])
@@ -802,19 +801,19 @@ def reference_verify_representation(kind, sig) -> CheckReport:
 
     for ranks in _kernel.weak_order_ranks(n):
         cases += 1
-        bel = bel_mask(ranks)
+        bel = _kernel.bel_mask(ranks)
         try:
             ind = induced_ranks(ranks, code)
         except NotPreorderError as exc:
             record(ranks, {}, {}, f"(i) {exc}")
             continue
-        if bel_mask(ind) != bel:  # ind is compressed: faithful iff bel is its rank-0 layer
+        if _kernel.bel_mask(ind) != bel:  # ind is compressed: faithful iff bel is its rank-0 layer
             record(ranks, {}, {}, "(ii) induced order not faithful")
             continue
         for a in range(full + 1):
             if a == full:
                 continue
-            expected = bel | min_rank_mask(ind, full & ~a)
+            expected = bel | _kernel.min_rank_mask(ind, full & ~a)
             if achieve_bel(ranks, a, code) != expected:
                 record(ranks, {"alpha": a}, {}, "(iii) contraction semantics mismatch")
         for a in range(full + 1):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decrement._kernel import compress_keys
+from decrement import _kernel
 from decrement.logic import formula_from_worldset, parse_formula, worldset_from_bits
 from decrement.preorder import enumerate_preorders
 from decrement.state import (
@@ -153,6 +153,12 @@ class TestStateDocs:
         except StateFormatError:
             pass
 
+    @pytest.mark.parametrize("atoms", ["ab", {"a": 0, "b": 1}])
+    def test_atoms_must_be_a_list(self, atoms):
+        # a string or an object of two names is not read as the atoms a and b
+        with pytest.raises(StateFormatError, match="atoms must be a list"):
+            state_from_doc({"atoms": atoms, "layers": PSI1_DOC["layers"]})
+
     @pytest.mark.parametrize("n_atoms", [1, 2])
     def test_codec_roundtrip_every_order(self, n_atoms):
         for tpo in enumerate_preorders(1 << n_atoms):
@@ -161,7 +167,7 @@ class TestStateDocs:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 7), min_size=8, max_size=8))
     def test_codec_roundtrip_three_atoms(self, keys):
-        ranks = compress_keys(keys)
+        ranks = _kernel.compress_keys(keys)
         assert order_from_bits(layers_to_bits(ranks, 3), 3).ranks == ranks
 
     def test_mismatched_order_size(self, sig2):
