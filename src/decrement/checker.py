@@ -6,7 +6,9 @@ over all semantic classes (world sets), worlds over the universe.  A
 verdict depends only on the case's class under relabelling of worlds
 (``decrement.profiles``), so the checker evaluates one representative per
 class and counts the whole class.  Every postulate is decided this way, up
-to ``CHECKER_MAX_ATOMS`` atoms.
+to ``CHECKER_MAX_ATOMS`` atoms.  D10 and D11 are decided over (alpha,
+beta) classes: their gamma enters through two subset tests, so one test
+per class decides every gamma at once.
 
 A postulate is defined by its ``Postulate`` record in ``REGISTRY``: the
 evaluator, the variables it quantifies with the mask each must contain,
@@ -59,11 +61,12 @@ from decrement.operators import (
     OperatorKind,
     achieve_bel,
     achieve_ranks,
+    bel_row,
     giveup_leq_masks,
-    giveup_ll_masks,
-    giveup_lt_masks,
+    giveup_rows,
     induced_ranks,
     step_ranks,
+    step_row,
     NotPreorderError,
 )
 from decrement.preorder import TotalPreorder
@@ -207,7 +210,8 @@ class ConformanceMatrix:
 #
 # An evaluator takes (ranks, kind code, *values), with the values in the
 # order of its record's variables, and returns (ok, witness).  It reads
-# only rank vectors and masks.  The witness names the worlds of a
+# only rank vectors and masks: for its own ranks, from the operators' rows
+# (bel_row, step_row, giveup_rows).  The witness names the worlds of a
 # violation and is built only when a case fails.
 
 _CANON_ATOMS = "abcdefghijklmnopqrstuvwxyz"
@@ -232,37 +236,39 @@ def _pair_result(pair: tuple[int, int] | None) -> tuple[bool, dict[str, int]]:
 
 
 def _achieve_keeps_beliefs(ranks, code, a):
-    return _subset(bel_mask(ranks), achieve_bel(ranks, a, code)), {}
+    return _subset(bel_mask(ranks), bel_row(ranks, code)[a]), {}
 
 
 def _vacuity(ranks, code, a):
     """Achieving the drop of an unbelieved alpha adds no belief model."""
     bel = bel_mask(ranks)
-    return not bel & ~a or _subset(achieve_bel(ranks, a, code), bel), {}
+    return not bel & ~a or _subset(bel_row(ranks, code)[a], bel), {}
 
 
 def _success(ranks, code, a):
-    return a == (1 << len(ranks)) - 1 or not _subset(achieve_bel(ranks, a, code), a), {}
+    return a == (1 << len(ranks)) - 1 or not _subset(bel_row(ranks, code)[a], a), {}
 
 
 def _new_models_are_counter_worlds(ranks, code, a):
-    return _subset(achieve_bel(ranks, a, code) & a, bel_mask(ranks)), {}
+    return _subset(bel_row(ranks, code)[a] & a, bel_mask(ranks)), {}
 
 
 def _extensional(ranks, code, a):
     """Two representatives of the alpha class give the same beliefs."""
     m1, m2 = _rep_models(a, len(ranks))
-    return achieve_bel(ranks, m1, code) == achieve_bel(ranks, m2, code), {}
+    bel = bel_row(ranks, code)
+    return bel[m1] == bel[m2], {}
 
 
 def _conjunctive_overlap(ranks, code, a, b):
-    lhs = achieve_bel(ranks, a & b, code)
-    return _subset(lhs, achieve_bel(ranks, a, code) | achieve_bel(ranks, b, code)), {}
+    bel = bel_row(ranks, code)
+    return _subset(bel[a & b], bel[a] | bel[b]), {}
 
 
 def _conjunctive_inclusion(ranks, code, a, b):
-    mab = achieve_bel(ranks, a & b, code)
-    return not mab & ~b or _subset(achieve_bel(ranks, b, code), mab), {}
+    bel = bel_row(ranks, code)
+    mab = bel[a & b]
+    return not mab & ~b or _subset(bel[b], mab), {}
 
 
 def _drops_within_layer_bound(ranks, code, a):
@@ -282,20 +288,21 @@ def _syntax_independent(ranks, code, a1, a2, *, whole_order: bool):
     the belief models.
     """
     n = len(ranks)
-    firsts = [step_ranks(ranks, m1, code) for m1 in _rep_models(a1, n)]
-    seconds = [step_ranks(r, m2, code) for r in firsts for m2 in _rep_models(a2, n)]
+    steps = step_row(ranks, code)
+    firsts = {steps[m1] for m1 in set(_rep_models(a1, n))}
+    seconds = {step_ranks(r, m2, code) for r in firsts for m2 in set(_rep_models(a2, n))}
     if not whole_order:
-        firsts = [bel_mask(r) for r in firsts]
-        seconds = [bel_mask(r) for r in seconds]
-    return len(set(firsts)) == 1 and len(set(seconds)) == 1, {}
+        firsts = set(map(bel_mask, firsts))
+        seconds = set(map(bel_mask, seconds))
+    return len(firsts) == 1 and len(seconds) == 1, {}
 
 
 def _achieve_agrees_after_step(ranks, code, a, b, *, on_alpha: bool):
     """Achieving beta after one alpha step gives the same belief models as
     before the step: on the alpha-worlds with ``on_alpha``, else off beta.
     """
-    m1 = achieve_bel(step_ranks(ranks, a, code), b, code)
-    m2 = achieve_bel(ranks, b, code)
+    m1 = achieve_bel(step_row(ranks, code)[a], b, code)
+    m2 = bel_row(ranks, code)[b]
     region = a if on_alpha else ((1 << len(ranks)) - 1) & ~b
     return (m1 ^ m2) & region == 0, {}
 
@@ -304,26 +311,40 @@ def _entailment_transfer(ranks, code, a, b, g, *, forward: bool):
     """If achieving beta entails gamma on one side of an alpha step, it does
     on the other: from before to after with ``forward``, else backwards.
     """
-    before = _subset(achieve_bel(ranks, b, code), g)
-    after = _subset(achieve_bel(step_ranks(ranks, a, code), b, code), g)
+    before = _subset(bel_row(ranks, code)[b], g)
+    after = _subset(achieve_bel(step_row(ranks, code)[a], b, code), g)
     return (after or not before) if forward else (before or not after), {}
 
 
+def _entailment_transfer_some_gamma(ranks, code, a, b, *, forward: bool):
+    """``_entailment_transfer`` for every gamma at once, gamma containing
+    not-alpha with ``forward``, else alpha.  With B and A' the beliefs after
+    achieving beta before and after the step, a gamma fails forwards iff
+    it contains B and not A', so some gamma does iff A' is not inside
+    not-alpha or B; backwards, iff B is not inside alpha or A'.
+    """
+    before = bel_row(ranks, code)[b]
+    after = achieve_bel(step_row(ranks, code)[a], b, code)
+    if forward:
+        return _subset(after, ((1 << len(ranks)) - 1) & ~a | before), {}
+    return _subset(before, a | after), {}
+
+
 def _step_keeps_giveup_successor(ranks, code, a, b, g):
-    if not giveup_ll_masks(ranks, g, b, code):
+    if not giveup_rows(ranks, code)[1][g] >> b & 1:
         return True, {}
-    return giveup_leq_masks(step_ranks(ranks, a, code), b, g, code), {}
+    return giveup_leq_masks(step_row(ranks, code)[a], b, g, code), {}
 
 
 def _step_keeps_beliefs(ranks, code, a):
-    return _subset(bel_mask(ranks), bel_mask(step_ranks(ranks, a, code))), {}
+    return _subset(bel_mask(ranks), bel_mask(step_row(ranks, code)[a])), {}
 
 
 def _pairwise(ranks, code, a, *, dr: int, achieved: bool = False):
     """Pairwise condition DR<dr> between a state and its one-step successor,
     or its achieve result with ``achieved``.
     """
-    after = achieve_ranks(ranks, a, code)[0] if achieved else step_ranks(ranks, a, code)
+    after = achieve_ranks(ranks, a, code)[0] if achieved else step_row(ranks, code)[a]
     return _pair_result(_kernel.dr_violation(ranks, after, a, 1 << (dr - 8)))
 
 
@@ -358,20 +379,21 @@ def _decrement_success(ranks, code, a):
 
 def _partial_success(ranks, code, a):
     bel = bel_mask(ranks)
-    after = bel_mask(step_ranks(ranks, a, code))
+    after = bel_mask(step_row(ranks, code)[a])
     upper = bel | min_rank_mask(ranks, ((1 << len(ranks)) - 1) & ~a)
     return _subset(bel, after) and _subset(after, upper), {}
 
 
 def _contract_world(ranks, code, w):
     """Achieving the drop of "not w" adds exactly w to the belief models."""
-    got = achieve_bel(ranks, ((1 << len(ranks)) - 1) & ~(1 << w), code)
+    got = bel_row(ranks, code)[((1 << len(ranks)) - 1) & ~(1 << w)]
     return got == bel_mask(ranks) | (1 << w), {}
 
 
 def _giveup_successor_is_adjacent(ranks, code, g, b):
     """Direct give-up successors are exactly adjacent minimal counter-worlds."""
-    if not giveup_lt_masks(ranks, g, b, code):
+    lt, ll = giveup_rows(ranks, code)
+    if not lt[g] >> b & 1:
         return True, {}
     full = (1 << len(ranks)) - 1
     minb = min_rank_mask(ranks, full & ~b)
@@ -381,7 +403,7 @@ def _giveup_successor_is_adjacent(ranks, code, g, b):
         for w1 in iter_worlds(minb)
         for w2 in iter_worlds(ming)
     )
-    return giveup_ll_masks(ranks, g, b, code) == rhs, {}
+    return bool(ll[g] >> b & 1) == rhs, {}
 
 
 # --- the registry ------------------------------------------------------------
@@ -395,12 +417,39 @@ class Postulate:
     must contain: ``bel`` (the state's belief models), ``alpha`` or
     ``~alpha``, read from an earlier variable.  ``note`` is the domain
     description printed in reports.
+
+    ``reduced``, when given, is an evaluator of every variable but the
+    last, a formula variable that sorts after the others by name and must
+    contain ``alpha`` or ``~alpha``: it fails iff ``evaluate`` fails for
+    some value of the last one.  The checker then walks the smaller space,
+    weighs each class by the number of those values, and lists them only
+    for the members it reports.
     """
 
     evaluate: Callable[..., tuple[bool, dict[str, int]]]
     note: str
     variables: tuple[str, ...] = ("alpha",)
     above: Mapping[str, str] = field(default_factory=dict)
+    reduced: Callable[..., tuple[bool, dict[str, int]]] | None = None
+
+    def walked(self) -> tuple[tuple[str, ...], Mapping[str, str]]:
+        """The variables the checker enumerates, with their premises."""
+        if self.reduced is None:
+            return self.variables, self.above
+        last = self.variables[-1]
+        return self.variables[:-1], {v: p for v, p in self.above.items() if v != last}
+
+    def floor(self, alpha: int, n_worlds: int) -> int:
+        """The mask the last variable must contain, given alpha."""
+        full = (1 << n_worlds) - 1
+        return alpha if self.above[self.variables[-1]] == "alpha" else full & ~alpha
+
+    def completions(self, ranks: tuple, values: tuple) -> list[tuple]:
+        """The full values that walked ``values`` stand for."""
+        if self.reduced is None:
+            return [values]
+        floor = self.floor(values[self.variables.index("alpha")], len(ranks))
+        return [values + (g,) for g in range(1 << len(ranks)) if not floor & ~g]
 
 
 _ALPHA = "states x alpha classes"
@@ -443,11 +492,13 @@ REGISTRY: dict[PostulateId, Postulate] = {
         partial(_entailment_transfer, forward=False),
         "states x (alpha, beta, gamma) with alpha entailing gamma",
         _ABG, above={"gamma": "alpha"},
+        reduced=partial(_entailment_transfer_some_gamma, forward=False),
     ),
     PostulateId.D11: Postulate(
         partial(_entailment_transfer, forward=True),
         "states x (alpha, beta, gamma) with not-alpha entailing gamma",
         _ABG, above={"gamma": "~alpha"},
+        reduced=partial(_entailment_transfer_some_gamma, forward=True),
     ),
     PostulateId.D12: Postulate(
         _step_keeps_giveup_successor,
@@ -526,20 +577,28 @@ def _run_chunk(
     lo: int,
     hi: int,
 ) -> tuple[int, list[tuple]]:
-    """Evaluate the case classes with index in [lo, hi).
+    """Evaluate the case classes with index in [lo, hi) of the record's
+    walked space.
 
-    Returns (cases, failures): each class counts its orbit size, and the
-    failures are the failing representatives as (ranks, values);
-    ``_orbit_failures`` picks the counterexamples from their orbits.
+    Returns (cases, failures): each class counts its orbit size, times the
+    values of the last variable with ``reduced``, and the failures are the
+    failing representatives as (ranks, values); ``_orbit_failures`` picks
+    the counterexamples from their orbits.
     """
     code = OperatorKind(kind_value).code
     rec = REGISTRY[PostulateId(pid_value)]
+    evaluate = rec.reduced or rec.evaluate
     cases = 0
     failures: list[tuple] = []
-    classes = case_classes(rec.variables, rec.above, 1 << n_atoms, start=lo)
-    for ranks, values, size in islice(classes, hi - lo):
+    classes = islice(case_classes(*rec.walked(), 1 << n_atoms, start=lo), hi - lo)
+    if rec.reduced:  # a class also counts every value of the last variable
+        n_worlds = 1 << n_atoms
+        i = rec.variables.index("alpha")
+        free = [n_worlds - rec.floor(a, n_worlds).bit_count() for a in range(1 << n_worlds)]
+        classes = ((r, v, s << free[v[i]]) for r, v, s in classes)
+    for ranks, values, size in classes:
         cases += size
-        if not rec.evaluate(ranks, code, *values)[0]:
+        if not evaluate(ranks, code, *values)[0]:
             failures.append((ranks, values))
     return cases, failures
 
@@ -599,8 +658,9 @@ def check_postulate(
     n_atoms = sig.n_atoms
     domain = _domain(n_atoms)
     rec = REGISTRY[pid]
+    walked = rec.walked()
 
-    total = case_class_count(rec.variables, rec.above, 1 << n_atoms)
+    total = case_class_count(*walked, 1 << n_atoms)
     chunks = [
         (kind.value, pid.value, n_atoms, lo, hi)
         for lo, hi in _chunk_bounds(total, workers, _usable_cpus())
@@ -616,13 +676,15 @@ def check_postulate(
     failing = [f for _, chunk_failures in results for f in chunk_failures]
 
     def member_failures(ranks, values):
-        ok, witness = rec.evaluate(ranks, kind.code, *values)
-        if ok:
-            return []
-        key, case = _failure(rec.variables, ranks, values, witness, n_atoms)
-        return [(key, _counterexample(*case, n_atoms))]
+        records = []
+        for full in rec.completions(ranks, values):
+            ok, witness = rec.evaluate(ranks, kind.code, *full)
+            if not ok:
+                key, case = _failure(rec.variables, ranks, full, witness, n_atoms)
+                records.append((key, _counterexample(*case, n_atoms)))
+        return records
 
-    counterexamples = _orbit_failures(rec.variables, failing, member_failures, n_atoms)
+    counterexamples = _orbit_failures(walked[0], failing, member_failures, n_atoms)
     return CheckReport(
         postulate=pid.value,
         operator=kind.value,
@@ -761,12 +823,13 @@ def _representation_failures(ranks: tuple, code: int, n_atoms: int) -> list[tupl
     if bel_mask(ind) != bel:  # ind is compressed: faithful iff bel is its rank-0 layer
         record({}, {}, "(ii) induced order not faithful")
         return out
+    achieved, steps = bel_row(ranks, code), step_row(ranks, code)
     for a in range(full):
-        if achieve_bel(ranks, a, code) != bel | min_rank_mask(ind, full & ~a):
+        if achieved[a] != bel | min_rank_mask(ind, full & ~a):
             record({"alpha": a}, {}, "(iii) contraction semantics mismatch")
         if bel & ~a:
             continue
-        ind_succ = induced_ranks(step_ranks(ranks, a, code), code)
+        ind_succ = induced_ranks(steps[a], code)
         for pid, bit in islice(_DR_BITS.items(), 6):  # DR8..DR13
             ok, witness = _pair_result(_kernel.dr_violation(ind, ind_succ, a, bit))
             if not ok:

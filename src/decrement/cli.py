@@ -11,8 +11,12 @@ supported).  Exit codes: 0 success, 1 an --expect-pass check failed,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
+import tempfile
+from contextlib import contextmanager, suppress
 from functools import partial
 
 from decrement import __version__, kernel_backend
@@ -95,6 +99,37 @@ def _write_out(text: str, out_path: str | None) -> None:
         raise CliError(f"cannot write --out file: {exc}") from None
 
 
+@contextmanager
+def _staged_out(out_path: str | None):
+    """The path to write the --out text to: None without --out, else a
+    temporary file beside ``out_path``, made before the block runs.  It
+    replaces ``out_path`` when the block ends and is removed if it raises,
+    so an unwritable target is reported before any work, and a failed run
+    leaves ``out_path`` as it was."""
+    if not out_path:
+        yield None
+        return
+    try:
+        if os.path.isdir(out_path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        fd, staged = tempfile.mkstemp(
+            prefix=".", suffix=".tmp", dir=os.path.dirname(os.path.abspath(out_path))
+        )
+    except OSError as exc:
+        raise CliError(f"cannot write --out file: {OSError(exc.errno, exc.strerror, out_path)}") from None
+    umask = os.umask(0)
+    os.umask(umask)
+    os.chmod(fd, 0o666 & ~umask)  # the mode open() would give; mkstemp's is 0o600
+    os.close(fd)
+    try:
+        yield staged
+        os.replace(staged, out_path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(staged)
+        raise
+
+
 def _emit_json(doc: dict, out_path: str | None) -> None:
     _write_out(json.dumps(doc, ensure_ascii=False) + "\n", out_path)
 
@@ -164,11 +199,12 @@ def cmd_achieve(args) -> int:
 def _run_matrix(args, kinds: list[OperatorKind]) -> int:
     sig = _signature_for_atoms(args.atoms)
     postulates = _postulate_list(args.postulates)
-    try:
-        matrix = conformance_matrix(kinds, postulates, sig, workers=args.workers)
-    except DomainTooLargeError as exc:
-        raise CliError(str(exc)) from None
-    _write_out(matrix.to_json(), args.out)
+    with _staged_out(args.out) as staged:
+        try:
+            matrix = conformance_matrix(kinds, postulates, sig, workers=args.workers)
+        except DomainTooLargeError as exc:
+            raise CliError(str(exc)) from None
+        _write_out(matrix.to_json(), staged)
     if args.expect_pass and matrix.failures():
         failed = ", ".join(f"{r.operator}/{r.postulate}" for r in matrix.failures())
         print(f"expect-pass violated: {failed}", file=sys.stderr)

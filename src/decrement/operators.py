@@ -23,12 +23,13 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 
 from decrement import _kernel
 from decrement._kernel import MAX_UNIVERSE
 from decrement._kernel import bel_mask as _bel_mask  # a global: called per achieve-table miss
-from decrement.logic import Formula, models
+from decrement.logic import Formula, iter_worlds, models
 from decrement.preorder import TotalPreorder, min_of
 from decrement.state import EpistemicState, belief_models, believes
 
@@ -292,6 +293,65 @@ def giveup_ll_masks(ranks: tuple, a: int, b: int, code: int) -> bool:
         if not bel_g & ~bel_gb and bel_b & ~bel_gb:
             return False
     return True
+
+
+# --- per-state rows ----------------------------------------------------------
+#
+# The checker evaluates each case class on its representative, whose ranks
+# never decrease: at most 2^(n-1) vectors on n worlds, 128 at three atoms.
+# For one (ranks, kind) a row holds an answer for every mask, so an
+# evaluator indexes a tuple where it would look a table up, and a give-up
+# relation reads one bit where giveup_ll_masks scans every class.  Each row
+# cache keeps the ROW_CACHE_SIZE latest rows it was asked for.
+
+ROW_CACHE_SIZE = 1 << 9
+
+
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def bel_row(ranks: tuple, code: int) -> tuple:
+    """``achieve_bel(ranks, m, code)`` for every mask ``m``, by mask."""
+    return tuple([achieve_bel(ranks, m, code) for m in range(1 << len(ranks))])
+
+
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def step_row(ranks: tuple, code: int) -> tuple:
+    """``step_ranks(ranks, m, code)`` for every mask ``m``, by mask; equal
+    vectors are stored once."""
+    distinct: dict[tuple, tuple] = {}
+    row = []
+    for m in range(1 << len(ranks)):
+        after = step_ranks(ranks, m, code)
+        row.append(distinct.setdefault(after, after))
+    return tuple(row)
+
+
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def giveup_rows(ranks: tuple, code: int) -> tuple[tuple, tuple]:
+    """(lt, ll), bitsets by mask: bit b of ``lt[a]`` is
+    ``giveup_lt_masks(ranks, a, b, code)``, and of ``ll[a]``
+    ``giveup_ll_masks(ranks, a, b, code)``.
+
+    ``ll[a]`` is ``lt[a]`` without every b that some g in ``lt[a]`` has
+    in ``lt[g]``.
+    """
+    bel = bel_row(ranks, code)
+    masks = range(len(bel))
+    lt = []
+    for a in masks:
+        bel_a = bel[a]
+        row = 0
+        for b in masks:
+            bel_ab = bel[a & b]
+            if not bel_a & ~bel_ab and bel[b] & ~bel_ab:
+                row |= 1 << b
+        lt.append(row)
+    ll = []
+    for row in lt:
+        between = 0
+        for g in iter_worlds(row):
+            between |= lt[g]
+        ll.append(row & ~between)
+    return tuple(lt), tuple(ll)
 
 
 def induced_ranks(ranks: tuple, code: int) -> tuple:

@@ -672,6 +672,85 @@ class TestKeyFirstExpansion:
             check_postulate(IN, PostulateId.SFA1, SIG2)
 
 
+class TestReducedSpace:
+    """D10 and D11 are decided over (alpha, beta): a reduced evaluator fails
+    iff the full one fails for some gamma, each class counts its gammas,
+    and gamma is listed only for the members reported.  The full-gamma
+    path, the same record without ``reduced``, is the oracle."""
+
+    REDUCED = [PostulateId.D10, PostulateId.D11]
+
+    @staticmethod
+    def full_gamma(monkeypatch, pid):
+        import dataclasses
+
+        import decrement.checker as checker
+
+        rec = checker.REGISTRY[pid]
+        monkeypatch.setitem(checker.REGISTRY, pid, dataclasses.replace(rec, reduced=None))
+
+    @pytest.fixture
+    def fresh_rows(self):
+        """Row caches emptied before and after the test, so that no row
+        built with a planted fault outlives it."""
+        from decrement.operators import bel_row, giveup_rows, step_row
+
+        caches = (bel_row, step_row, giveup_rows)
+        for row in caches:
+            row.cache_clear()
+        yield
+        for row in caches:
+            row.cache_clear()
+
+    @pytest.mark.parametrize("n_atoms", [1, 2])
+    @pytest.mark.parametrize("pid", REDUCED)
+    @pytest.mark.parametrize("kind", list(OperatorKind))
+    def test_reports_match_the_full_gamma_path(self, monkeypatch, kind, pid, n_atoms):
+        sig = Signature("ab"[:n_atoms])
+        reduced = check_postulate(kind, pid, sig).to_json()
+        self.full_gamma(monkeypatch, pid)
+        assert check_postulate(kind, pid, sig).to_json() == reduced
+
+    def test_planted_failure_reported_alike(self, monkeypatch, fresh_rows):
+        # achieving anything on a two-layer state also believes its top
+        # layer: relabelling commutes with that, and D10 fails on it
+        import decrement.operators as operators
+
+        real = operators.achieve_bel
+
+        def planted(ranks, amask, code):
+            got = real(ranks, amask, code)
+            return got | _kernel.layer_masks(ranks)[1] if max(ranks) == 1 else got
+
+        monkeypatch.setattr(operators, "achieve_bel", planted)
+        reduced = check_postulate(T1, PostulateId.D10, SIG2)
+        self.full_gamma(monkeypatch, PostulateId.D10)
+        full = check_postulate(T1, PostulateId.D10, SIG2)
+        assert reduced.to_json() == full.to_json()
+        assert reduced.outcome == "fail" and len(reduced.counterexamples) == 5
+        for ce in reduced.counterexamples:
+            assert replay_counterexample(T1, PostulateId.D10, ce)
+
+    def test_two_atom_d10_evaluates_alpha_beta_classes(self, monkeypatch):
+        import dataclasses
+
+        import decrement.checker as checker
+        from decrement.profiles import case_class_count
+
+        rec = checker.REGISTRY[PostulateId.D10]
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return rec.reduced(*args)
+
+        monkeypatch.setitem(checker.REGISTRY, PostulateId.D10, dataclasses.replace(rec, reduced=counted))
+        report = check_postulate(T1, PostulateId.D10, SIG2)
+        assert (report.outcome, report.cases) == ("pass", sum(1 for _ in brute_cases(PostulateId.D10, 4)))
+        assert len(calls) == 1_031
+        assert case_class_count(rec.variables, rec.above, 4) == 4_803
+
+
 def draw_class(pid, n_worlds, rng):
     """(ranks, values) of a case class drawn uniformly from pid's space."""
     from decrement.checker import REGISTRY
@@ -757,8 +836,10 @@ class TestThreeAtoms:
             (IN, PostulateId.C5, 139_733_760, "6098f7a9a327"),
             (IN, PostulateId.D8, 3_581_223_435, "85399ca7a331"),
             (IN, PostulateId.D9, 3_581_223_435, "354c67b0da3e"),
+            (T1, PostulateId.D10, 916_793_199_360, "d60e232727ae"),
+            (T1, PostulateId.LEMMA3, 35_771_842_560, "3ef361f3666f"),
         ],
-        ids=["type1-C5", "type2-C5", "instant-C5", "instant-D8", "instant-D9"],
+        ids=["type1-C5", "type2-C5", "instant-C5", "instant-D8", "instant-D9", "type1-D10", "type1-Lemma3"],
     )
     def test_multiformula_cells_pass(self, kind, pid, cases, sha256):
         report = check_postulate(kind, pid, Signature("abc"))

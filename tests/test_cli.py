@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import shlex
 from pathlib import Path
@@ -381,6 +382,71 @@ class TestExitCodeContract:
         assert code == 2
         assert err.startswith("error: cannot write --out file")
         assert "Traceback" not in err
+
+
+class TestStagedOut:
+    """``matrix`` and ``check`` write --out through a temporary file beside
+    it: an unwritable target stops the run before its first cell, and a run
+    that fails leaves the target as it was."""
+
+    @pytest.mark.parametrize("command", [["check", "--op", "type1"], ["matrix", "--ops", "all"]], ids=lambda c: c[0])
+    def test_unwritable_out_exits_before_the_first_cell(self, capsys, monkeypatch, tmp_path, command):
+        import decrement.checker as checker
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a cell ran before --out was checked")
+
+        monkeypatch.setattr(checker, "check_postulate", unreachable)
+        out = tmp_path / "missing" / "out.json"
+        code, _, err = run(capsys, *command, "--atoms", "2", "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: cannot write --out file")
+        assert str(out) in err
+
+    def test_failed_run_keeps_the_old_file(self, monkeypatch, tmp_path):
+        import decrement.checker as checker
+
+        calls = []
+        real = checker.check_postulate
+
+        def fails_second(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("planted failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(checker, "check_postulate", fails_second)
+        out = tmp_path / "out.json"
+        out.write_bytes(b"previous run\n")
+        with pytest.raises(RuntimeError, match="planted failure"):
+            main(["matrix", "--ops", "type1", "--postulates", "C1,C2", "--atoms", "1", "--out", str(out)])
+        assert len(calls) == 2
+        assert out.read_bytes() == b"previous run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+
+    def test_out_replaces_the_old_file(self, capsys, tmp_path):
+        out = tmp_path / "out.json"
+        out.write_bytes(b"previous run\n")
+        code, stdout, _ = run(capsys, "check", "--op", "type1", "--postulates", "C1", "--atoms", "1", "--out", str(out))
+        assert (code, stdout) == (0, "")
+        assert json.loads(out.read_text())["reports"][0]["outcome"] == "pass"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+        umask = os.umask(0)
+        os.umask(umask)
+        assert out.stat().st_mode & 0o777 == 0o666 & ~umask  # as open() makes it
+
+
+def test_python_dash_m_runs_the_cli():
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "decrement", "--version"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("decrement 0.1.0 ")
 
 
 def readme_commands():

@@ -65,14 +65,17 @@ from decrement.operators import (
     achieve,
     achieve_bel,
     achieve_ranks,
+    bel_row,
     giveup_ll_masks,
     giveup_lt_masks,
+    giveup_rows,
     induced_order,
     induced_ranks,
     iterate,
     NotPreorderError,
     step,
     step_ranks,
+    step_row,
 )
 from decrement.preorder import TotalPreorder, enumerate_preorders
 from decrement.profiles import _cells, _planes, case_class_count, case_classes
@@ -578,6 +581,53 @@ class TestGiveupOracle:
             a |= _kernel.bel_mask(ranks)
             b |= _kernel.bel_mask(ranks)
         assert giveup_ll_masks(ranks, a, b, code) == reference_giveup_ll_masks(ranks, a, b, code)
+
+
+# --- per-state rows -------------------------------------------------------------
+
+def ascending_vectors(n: int):
+    """The 2^(n-1) compressed rank vectors on n worlds whose ranks never
+    decrease: the ranks of every case-class representative."""
+    for rises in range(1 << (n - 1)):
+        ranks = [0]
+        for i in range(n - 1):
+            ranks.append(ranks[-1] + (rises >> i & 1))
+        yield tuple(ranks)
+
+
+def assert_rows_match(ranks: tuple, code: int, pairs) -> None:
+    """The rows of (ranks, code) against the per-mask functions: every
+    mask of the belief and step rows, and the give-up rows on ``pairs``."""
+    masks = range(1 << len(ranks))
+    assert bel_row(ranks, code) == tuple(achieve_bel(ranks, m, code) for m in masks)
+    steps = step_row(ranks, code)
+    assert steps == tuple(step_ranks(ranks, m, code) for m in masks)
+    assert len(set(map(id, steps))) == len(set(steps))  # each distinct vector stored once
+    lt, ll = giveup_rows(ranks, code)
+    for a, b in pairs:
+        assert (lt[a] >> b & 1) == giveup_lt_masks(ranks, a, b, code), (ranks, code, a, b)
+        assert (ll[a] >> b & 1) == reference_giveup_ll_masks(ranks, a, b, code), (ranks, code, a, b)
+
+
+class TestRowOracle:
+    @pytest.mark.parametrize("n_atoms", [1, 2])
+    def test_exhaustive(self, n_atoms):
+        n = 1 << n_atoms
+        pairs = [(a, b) for a in range(1 << n) for b in range(1 << n)]
+        for ranks in _kernel.weak_order_ranks(n):
+            for code in CODES:
+                assert_rows_match(ranks, code, pairs)
+
+    def test_three_atom_representatives(self):
+        vectors = list(ascending_vectors(8))
+        assert len(vectors) == 128 and all(list(r) == sorted(r) for r in vectors)
+        rng = random.Random(19)
+        for ranks in rng.sample(vectors, 12):
+            bel = _kernel.bel_mask(ranks)
+            for code in CODES:
+                # half the pairs believed, so that the relations hold more often
+                pairs = [(rng.randrange(256) | bel * i, rng.randrange(256) | bel * i) for i in (0, 1) * 20]
+                assert_rows_match(ranks, code, pairs)
 
 
 # --- frontal_bits and step_ranks ----------------------------------------------
