@@ -439,17 +439,19 @@ class Postulate:
         last = self.variables[-1]
         return self.variables[:-1], {v: p for v, p in self.above.items() if v != last}
 
-    def floor(self, alpha: int, n_worlds: int) -> int:
-        """The mask the last variable must contain, given alpha."""
+    def last_values(self, alpha: int, n_worlds: int) -> list[int]:
+        """The values of the last variable, given alpha: every mask that
+        contains ``alpha`` or ``~alpha``, as ``above`` says."""
         full = (1 << n_worlds) - 1
-        return alpha if self.above[self.variables[-1]] == "alpha" else full & ~alpha
+        floor = alpha if self.above[self.variables[-1]] == "alpha" else full & ~alpha
+        return [g for g in range(full + 1) if not floor & ~g]
 
     def completions(self, ranks: tuple, values: tuple) -> list[tuple]:
         """The full values that walked ``values`` stand for."""
         if self.reduced is None:
             return [values]
-        floor = self.floor(values[self.variables.index("alpha")], len(ranks))
-        return [values + (g,) for g in range(1 << len(ranks)) if not floor & ~g]
+        alpha = values[self.variables.index("alpha")]
+        return [values + (g,) for g in self.last_values(alpha, len(ranks))]
 
 
 _ALPHA = "states x alpha classes"
@@ -594,8 +596,8 @@ def _run_chunk(
     if rec.reduced:  # a class also counts every value of the last variable
         n_worlds = 1 << n_atoms
         i = rec.variables.index("alpha")
-        free = [n_worlds - rec.floor(a, n_worlds).bit_count() for a in range(1 << n_worlds)]
-        classes = ((r, v, s << free[v[i]]) for r, v, s in classes)
+        weight = [len(rec.last_values(a, n_worlds)) for a in range(1 << n_worlds)]
+        classes = ((r, v, s * weight[v[i]]) for r, v, s in classes)
     for ranks, values, size in classes:
         cases += size
         if not evaluate(ranks, code, *values)[0]:

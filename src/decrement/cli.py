@@ -11,9 +11,9 @@ supported).  Exit codes: 0 success, 1 an --expect-pass check failed,
 from __future__ import annotations
 
 import argparse
-import errno
 import json
 import os
+import stat
 import sys
 import tempfile
 from contextlib import contextmanager, suppress
@@ -99,28 +99,60 @@ def _write_out(text: str, out_path: str | None) -> None:
         raise CliError(f"cannot write --out file: {exc}") from None
 
 
+def _stage_beside(out_path: str) -> str | None:
+    """A temporary file beside ``out_path`` for a new path or a regular
+    file with one link, with the mode and owner the target has (or, for a
+    new path, the mode open() would give it).  Any other target (a device,
+    pipe, symlink, hard-linked file, or a file whose directory takes no new
+    file) is written through instead: it is opened for appending, which
+    truncates nothing, to check that it can be written, and None returned."""
+    try:
+        st = os.lstat(out_path)
+    except FileNotFoundError:
+        st = None
+    if st is None or (stat.S_ISREG(st.st_mode) and st.st_nlink == 1):
+        try:
+            fd, staged = tempfile.mkstemp(
+                prefix=".", suffix=".tmp", dir=os.path.dirname(os.path.abspath(out_path))
+            )
+        except PermissionError:
+            if st is None:
+                raise
+        else:
+            if st is None:
+                umask = os.umask(0)
+                os.umask(umask)
+                os.fchmod(fd, 0o666 & ~umask)  # mkstemp's mode is 0o600
+            else:
+                with suppress(OSError):  # only root may give a file away
+                    os.fchown(fd, st.st_uid, st.st_gid)
+                os.fchmod(fd, stat.S_IMODE(st.st_mode))
+            os.close(fd)
+            return staged
+    with open(out_path, "a", encoding="utf-8"):
+        pass
+    return None
+
+
 @contextmanager
 def _staged_out(out_path: str | None):
-    """The path to write the --out text to: None without --out, else a
-    temporary file beside ``out_path``, made before the block runs.  It
-    replaces ``out_path`` when the block ends and is removed if it raises,
-    so an unwritable target is reported before any work, and a failed run
-    leaves ``out_path`` as it was."""
+    """The path to write the --out text to: None without --out, else, for
+    a new path or a regular file, a temporary file beside ``out_path``
+    made before the block runs (see ``_stage_beside``).  It replaces
+    ``out_path`` when the block ends and is removed if it raises, so an
+    unwritable target is reported before any work, and a failed run
+    leaves ``out_path`` as it was.  Other targets are checked the same way
+    up front and then written through."""
     if not out_path:
         yield None
         return
     try:
-        if os.path.isdir(out_path):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        fd, staged = tempfile.mkstemp(
-            prefix=".", suffix=".tmp", dir=os.path.dirname(os.path.abspath(out_path))
-        )
+        staged = _stage_beside(out_path)
     except OSError as exc:
         raise CliError(f"cannot write --out file: {OSError(exc.errno, exc.strerror, out_path)}") from None
-    umask = os.umask(0)
-    os.umask(umask)
-    os.chmod(fd, 0o666 & ~umask)  # the mode open() would give; mkstemp's is 0o600
-    os.close(fd)
+    if staged is None:
+        yield out_path
+        return
     try:
         yield staged
         os.replace(staged, out_path)

@@ -424,16 +424,65 @@ class TestStagedOut:
         assert out.read_bytes() == b"previous run\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
 
+    CHECK_C1 = ("check", "--op", "type1", "--postulates", "C1", "--atoms", "1")
+
+    def check_c1(self, capsys, out) -> None:
+        code, stdout, _ = run(capsys, *self.CHECK_C1, "--out", str(out))
+        assert (code, stdout) == (0, "")
+        assert json.loads(Path(out).read_text())["reports"][0]["outcome"] == "pass"
+
     def test_out_replaces_the_old_file(self, capsys, tmp_path):
         out = tmp_path / "out.json"
         out.write_bytes(b"previous run\n")
-        code, stdout, _ = run(capsys, "check", "--op", "type1", "--postulates", "C1", "--atoms", "1", "--out", str(out))
-        assert (code, stdout) == (0, "")
-        assert json.loads(out.read_text())["reports"][0]["outcome"] == "pass"
+        out.chmod(0o600)
+        self.check_c1(capsys, out)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+        assert out.stat().st_mode & 0o777 == 0o600  # the old file's mode is kept
+
+    def test_new_out_gets_the_mode_open_gives(self, capsys, tmp_path):
+        out = tmp_path / "out.json"
+        self.check_c1(capsys, out)
         umask = os.umask(0)
         os.umask(umask)
-        assert out.stat().st_mode & 0o777 == 0o666 & ~umask  # as open() makes it
+        assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_symlinked_out_is_written_through(self, capsys, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_bytes(b"previous run\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        self.check_c1(capsys, link)
+        assert link.is_symlink()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+
+    def test_hard_linked_out_is_written_through(self, capsys, tmp_path):
+        out = tmp_path / "out.json"
+        out.write_bytes(b"previous run\n")
+        other = tmp_path / "other.json"
+        other.hardlink_to(out)
+        self.check_c1(capsys, out)
+        assert other.read_bytes() == out.read_bytes()
+
+    def test_symlink_to_a_directory_exits_2(self, capsys, tmp_path):
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path)
+        code, _, err = run(capsys, *self.CHECK_C1, "--out", str(link))
+        assert code == 2
+        assert err.startswith("error: cannot write --out file")
+
+    def test_file_in_a_directory_without_room_is_written_through(self, capsys, monkeypatch, tmp_path):
+        import tempfile
+
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(tempfile, "mkstemp", refuse)
+        out = tmp_path / "out.json"
+        out.write_bytes(b"previous run\n")
+        self.check_c1(capsys, out)
+        code, _, err = run(capsys, *self.CHECK_C1, "--out", str(tmp_path / "new.json"))
+        assert code == 2
+        assert err.startswith("error: cannot write --out file")
 
 
 def test_python_dash_m_runs_the_cli():
