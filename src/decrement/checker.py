@@ -8,7 +8,10 @@ verdict depends only on the case's class under relabelling of worlds
 class and counts the whole class.  Every postulate is decided this way, up
 to ``CHECKER_MAX_ATOMS`` atoms.  D10 and D11 are decided over (alpha,
 beta) classes: their gamma enters through two subset tests, so one test
-per class decides every gamma at once.
+per class decides every gamma at once.  C5, D5 and SFA1..SFA3 hold by
+construction (``_by_construction``): states are compressed rank vectors
+and formulas model masks, so no case can fail them, though their cells
+still walk and count their case classes.
 
 A postulate is defined by its ``Postulate`` record in ``REGISTRY``: the
 evaluator, the variables it quantifies with the mask each must contain,
@@ -49,9 +52,7 @@ from decrement import _kernel
 from decrement._kernel import bel_mask, min_rank_mask
 from decrement.logic import (
     Formula,
-    Not,
     Signature,
-    formula_from_worldset,
     iter_worlds,
     models,
     world_to_bits,
@@ -214,19 +215,8 @@ class ConformanceMatrix:
 # (bel_row, step_row, giveup_rows).  The witness names the worlds of a
 # violation and is built only when a case fails.
 
-_CANON_ATOMS = "abcdefghijklmnopqrstuvwxyz"
-
-
 def _subset(x: int, y: int) -> bool:
     return x & ~y == 0
-
-
-@lru_cache(maxsize=1 << 10)
-def _rep_models(mask: int, n_worlds: int) -> tuple[int, int]:
-    """Models of two syntactically different representatives of a class."""
-    sig = Signature(_CANON_ATOMS[: n_worlds.bit_length() - 1])
-    f = formula_from_worldset(mask, sig)
-    return models(f, sig), models(Not(Not(f)), sig)
 
 
 def _pair_result(pair: tuple[int, int] | None) -> tuple[bool, dict[str, int]]:
@@ -253,13 +243,6 @@ def _new_models_are_counter_worlds(ranks, code, a):
     return _subset(bel_row(ranks, code)[a] & a, bel_mask(ranks)), {}
 
 
-def _extensional(ranks, code, a):
-    """Two representatives of the alpha class give the same beliefs."""
-    m1, m2 = _rep_models(a, len(ranks))
-    bel = bel_row(ranks, code)
-    return bel[m1] == bel[m2], {}
-
-
 def _conjunctive_overlap(ranks, code, a, b):
     bel = bel_row(ranks, code)
     return _subset(bel[a & b], bel[a] | bel[b]), {}
@@ -280,21 +263,6 @@ def _drops_within_layer_bound(ranks, code, a):
             return True, {}
         cur = step_ranks(cur, a, code)
     return False, {}
-
-
-def _syntax_independent(ranks, code, a1, a2, *, whole_order: bool):
-    """Representatives of two classes, stepped in sequence, agree after one
-    and after two steps: on the whole order with ``whole_order``, else on
-    the belief models.
-    """
-    n = len(ranks)
-    steps = step_row(ranks, code)
-    firsts = {steps[m1] for m1 in set(_rep_models(a1, n))}
-    seconds = {step_ranks(r, m2, code) for r in firsts for m2 in set(_rep_models(a2, n))}
-    if not whole_order:
-        firsts = set(map(bel_mask, firsts))
-        seconds = set(map(bel_mask, seconds))
-    return len(firsts) == 1 and len(seconds) == 1, {}
 
 
 def _achieve_agrees_after_step(ranks, code, a, b, *, on_alpha: bool):
@@ -348,16 +316,17 @@ def _pairwise(ranks, code, a, *, dr: int, achieved: bool = False):
     return _pair_result(_kernel.dr_violation(ranks, after, a, 1 << (dr - 8)))
 
 
-def _faithful(ranks, code, *, strict: bool):
-    """Belief worlds are tied; with ``strict``, strictly below all others."""
-    for w1 in iter_worlds(bel_mask(ranks)):
-        for w2, r2 in enumerate(ranks):
-            if strict:
-                bad = r2 != 0 and not ranks[w1] < r2
-            else:
-                bad = r2 == 0 and ranks[w1] != r2
-            if bad:
-                return _pair_result((w1, w2))
+def _by_construction(ranks, code, *values):
+    """C5, D5 and SFA1..SFA3, which no case can fail.
+
+    A state is a compressed rank vector, so its rank-0 worlds are exactly
+    its belief models: they are tied, and strictly below every other world
+    (SFA1, SFA2).  A formula is its model mask, and the operators read a
+    formula only through that set, so equivalent formulas give the same
+    beliefs after achieve (C5), and the same order and beliefs after one
+    step or two (SFA3, D5).  The cells still walk their case classes, so
+    ``cases`` counts the space as for every other postulate.
+    """
     return True, {}
 
 
@@ -468,16 +437,14 @@ REGISTRY: dict[PostulateId, Postulate] = {
     PostulateId.C2: Postulate(_vacuity, _ALPHA),
     PostulateId.C3: Postulate(_success, _ALPHA),
     PostulateId.C4: Postulate(_new_models_are_counter_worlds, _ALPHA),
-    PostulateId.C5: Postulate(_extensional, _ALPHA),
+    PostulateId.C5: Postulate(_by_construction, _ALPHA),
     PostulateId.C6: Postulate(_conjunctive_overlap, _ALPHA_BETA, _AB),
     PostulateId.C7: Postulate(_conjunctive_inclusion, _ALPHA_BETA, _AB),
     PostulateId.D1: Postulate(_achieve_keeps_beliefs, _ALPHA),
     PostulateId.D2: Postulate(_vacuity, _ALPHA),
     PostulateId.D3: Postulate(_drops_within_layer_bound, _ALPHA),
     PostulateId.D4: Postulate(_new_models_are_counter_worlds, _ALPHA),
-    PostulateId.D5: Postulate(
-        partial(_syntax_independent, whole_order=False), _REPRESENTATIVES, _A12
-    ),
+    PostulateId.D5: Postulate(_by_construction, _REPRESENTATIVES, _A12),
     PostulateId.D6: Postulate(_conjunctive_overlap, _ALPHA_BETA, _AB),
     PostulateId.D7: Postulate(_conjunctive_inclusion, _ALPHA_BETA, _AB),
     PostulateId.D8: Postulate(
@@ -516,11 +483,9 @@ REGISTRY: dict[PostulateId, Postulate] = {
     PostulateId.DR13: Postulate(partial(_pairwise, dr=13), _BELIEVED, above=_IF_BELIEVED),
     PostulateId.DR14: Postulate(partial(_pairwise, dr=14), _BELIEVED, above=_IF_BELIEVED),
     PostulateId.DR15: Postulate(partial(_pairwise, dr=15), _BELIEVED, above=_IF_BELIEVED),
-    PostulateId.SFA1: Postulate(partial(_faithful, strict=False), "all states", ()),
-    PostulateId.SFA2: Postulate(partial(_faithful, strict=True), "all states", ()),
-    PostulateId.SFA3: Postulate(
-        partial(_syntax_independent, whole_order=True), _REPRESENTATIVES, _A12
-    ),
+    PostulateId.SFA1: Postulate(_by_construction, "all states", ()),
+    PostulateId.SFA2: Postulate(_by_construction, "all states", ()),
+    PostulateId.SFA3: Postulate(_by_construction, _REPRESENTATIVES, _A12),
     PostulateId.HESITANCE: Postulate(_drops_within_layer_bound, _ALPHA),
     PostulateId.DECREMENT_SUCCESS: Postulate(_decrement_success, _ALPHA),
     PostulateId.PARTIAL_SUCCESS: Postulate(_partial_success, _ALPHA),

@@ -140,9 +140,9 @@ def _staged_out(out_path: str | None):
     a new path or a regular file, a temporary file beside ``out_path``
     made before the block runs (see ``_stage_beside``).  It replaces
     ``out_path`` when the block ends and is removed if it raises, so an
-    unwritable target is reported before any work, and a failed run
-    leaves ``out_path`` as it was.  Other targets are checked the same way
-    up front and then written through."""
+    unwritable target is reported before any work or output, and a failed
+    run leaves ``out_path`` as it was.  Other targets are checked the same
+    way up front and then written through."""
     if not out_path:
         yield None
         return
@@ -231,12 +231,11 @@ def cmd_achieve(args) -> int:
 def _run_matrix(args, kinds: list[OperatorKind]) -> int:
     sig = _signature_for_atoms(args.atoms)
     postulates = _postulate_list(args.postulates)
-    with _staged_out(args.out) as staged:
-        try:
-            matrix = conformance_matrix(kinds, postulates, sig, workers=args.workers)
-        except DomainTooLargeError as exc:
-            raise CliError(str(exc)) from None
-        _write_out(matrix.to_json(), staged)
+    try:
+        matrix = conformance_matrix(kinds, postulates, sig, workers=args.workers)
+    except DomainTooLargeError as exc:
+        raise CliError(str(exc)) from None
+    _write_out(matrix.to_json(), args.out)
     if args.expect_pass and matrix.failures():
         failed = ", ".join(f"{r.operator}/{r.postulate}" for r in matrix.failures())
         print(f"expect-pass violated: {failed}", file=sys.stderr)
@@ -394,7 +393,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # every command writes its --out through a file staged before it runs
+        with _staged_out(getattr(args, "out", None)) as args.out:
+            return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -93,12 +93,16 @@ _SHARD_MASK = _SHARDS - 1  # a key's shard is its hash & _SHARD_MASK
 
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
-_NO_CALL = ((), None, None, None)  # a table's ``last`` before its first call
+# The key suffix of each kind code and alpha mask of up to 8 worlds.  An
+# unknown code (KeyError), a wider mask (IndexError) or a rank outside
+# 0..255 (ValueError, TypeError) gives a call no key.
+_SUFFIXES = {code: tuple([bytes((amask, code)) for amask in range(256)]) for code in _KIND_CODES.values()}
+_NO_KEY = (TypeError, ValueError, KeyError, IndexError)
 
 
 class _Table:
-    """A memo table with functools-style counters: every lookup is a hit
-    or a miss, and every miss stores one entry.
+    """A memo table with functools-style counters: every keyed lookup is a
+    hit or a miss, and every miss stores one entry.
 
     The entries are spread over _SHARDS dicts by the key's hash.  A shard
     that holds TABLE_SIZE // _SHARDS entries drops its oldest quarter, in
@@ -110,19 +114,36 @@ class _Table:
     replaced by a copy of the entries it keeps: a dict never shrinks on
     deletion, and one that deletes and stores in place regrows to twice
     the size.
-
-    ``last`` holds the arguments and answer of the table's latest keyed
-    call.  The checker repeats its previous call for about two in five
-    lookups, and comparing the arguments costs less than building a key.
     """
 
-    __slots__ = ("shards", "hits", "misses", "last")
+    __slots__ = ("shards", "hits", "misses")
 
     def __init__(self) -> None:
         self.shards = [{} for _ in range(_SHARDS)]
         self.hits = 0
         self.misses = 0
-        self.last = _NO_CALL
+
+    def lookup(self, compute, ranks: tuple, amask: int, code: int):
+        """``compute(ranks, amask, code)``, memoised as bytes.
+
+        A call with no key, or on more than MAX_UNIVERSE worlds (whose
+        belief mask does not fit the achieve value's byte), goes to
+        ``compute`` unstored and uncounted, and its answer is returned as
+        ``compute`` gives it, so that the kernel's own error reports a bad
+        argument.
+        """
+        try:
+            key = bytes(ranks) + _SUFFIXES[code][amask & ((1 << len(ranks)) - 1)]
+        except _NO_KEY:
+            return compute(ranks, amask, code)
+        if len(ranks) > MAX_UNIVERSE:
+            return compute(ranks, amask, code)
+        index = hash(key) & _SHARD_MASK
+        got = self.shards[index].get(key)
+        if got is None:
+            return self.store(index, key, bytes(compute(ranks, amask, code)))
+        self.hits += 1
+        return got
 
     def store(self, index: int, key: bytes, value: bytes) -> bytes:
         self.misses += 1
@@ -141,48 +162,15 @@ class _Table:
         for shard in self.shards:
             shard.clear()
         self.hits = self.misses = 0
-        self.last = _NO_CALL
 
 
 _STEPS = _Table()
 _ACHIEVED = _Table()
-_STEP_SHARDS = _STEPS.shards
-_ACHIEVED_SHARDS = _ACHIEVED.shards
-
-# The key suffix of each kind code and alpha mask of up to 8 worlds.  An
-# unknown code (KeyError), a wider mask (IndexError) or a rank outside
-# 0..255 (ValueError, TypeError) gives a call no key.
-_SUFFIXES = {code: tuple([bytes((amask, code)) for amask in range(256)]) for code in _KIND_CODES.values()}
-_NO_KEY = (TypeError, ValueError, KeyError, IndexError)
-
-# step_ranks and _achieved build the key inline: a call costs about as
-# much as the rest of a hit, and the two-atom matrix is nearly all hits.
-# A call with no key, or on more than MAX_UNIVERSE worlds (whose belief
-# mask does not fit the achieve value's byte), goes to the kernel unstored
-# and uncounted, so that the kernel's own error reports a bad argument.
 
 
 def step_ranks(ranks: tuple, amask: int, code: int) -> tuple:
     """``_kernel.step_ranks``, memoised."""
-    last = _STEPS.last
-    if ranks == last[0] and amask == last[1] and code == last[2]:
-        _STEPS.hits += 1
-        return last[3]
-    try:
-        key = bytes(ranks) + _SUFFIXES[code][amask & ((1 << len(ranks)) - 1)]
-    except _NO_KEY:
-        return _kernel.step_ranks(ranks, amask, code)
-    if len(ranks) > MAX_UNIVERSE:
-        return _kernel.step_ranks(ranks, amask, code)
-    index = hash(key) & _SHARD_MASK
-    got = _STEP_SHARDS[index].get(key)
-    if got is None:
-        got = _STEPS.store(index, key, bytes(_kernel.step_ranks(ranks, amask, code)))
-    else:
-        _STEPS.hits += 1
-    got = tuple(got)
-    _STEPS.last = tuple(ranks), amask, code, got  # a list argument may change later
-    return got
+    return tuple(_STEPS.lookup(_kernel.step_ranks, ranks, amask, code))
 
 
 def _achieve(ranks: tuple, amask: int, code: int) -> tuple:
@@ -204,41 +192,19 @@ def _achieve(ranks: tuple, amask: int, code: int) -> tuple:
     return (*final, steps, bel)
 
 
-def _achieved(ranks: tuple, amask: int, code: int):
-    """``_achieve``, memoised: bytes for a call with a key, else a tuple."""
-    last = _ACHIEVED.last
-    if ranks == last[0] and amask == last[1] and code == last[2]:
-        _ACHIEVED.hits += 1
-        return last[3]
-    try:
-        key = bytes(ranks) + _SUFFIXES[code][amask & ((1 << len(ranks)) - 1)]
-    except _NO_KEY:
-        return _achieve(ranks, amask, code)
-    if len(ranks) > MAX_UNIVERSE:
-        return _achieve(ranks, amask, code)
-    index = hash(key) & _SHARD_MASK
-    got = _ACHIEVED_SHARDS[index].get(key)
-    if got is None:
-        got = _ACHIEVED.store(index, key, bytes(_achieve(ranks, amask, code)))
-    else:
-        _ACHIEVED.hits += 1
-    _ACHIEVED.last = tuple(ranks), amask, code, got  # a list argument may change later
-    return got
-
-
 def achieve_ranks(ranks: tuple, amask: int, code: int) -> tuple[tuple, int]:
     """Apply step_ranks until alpha is no longer believed.
 
     Returns (final ranks, step count); zero steps for tautologies and for
     formulas not believed in the first place.  Memoised as step_ranks is.
     """
-    got = _achieved(ranks, amask, code)
+    got = _ACHIEVED.lookup(_achieve, ranks, amask, code)
     return tuple(got[:-2]), got[-2]
 
 
 def achieve_bel(ranks: tuple, amask: int, code: int) -> int:
     """Belief models after achieving the drop of alpha."""
-    return _achieved(ranks, amask, code)[-1]
+    return _ACHIEVED.lookup(_achieve, ranks, amask, code)[-1]
 
 
 step_ranks.cache_info = _STEPS.cache_info

@@ -527,6 +527,15 @@ class TestRegistry:
 
         assert list(REGISTRY) == list(PostulateId)
 
+    def test_postulates_that_hold_by_construction(self):
+        # states are compressed rank vectors and formulas model masks, so
+        # faithfulness and syntax independence cannot fail; the operators'
+        # TestSemanticDeterminism checks what the last three rest on
+        import decrement.checker as checker
+
+        held = {pid.value for pid, rec in checker.REGISTRY.items() if rec.evaluate is checker._by_construction}
+        assert held == {"C5", "D5", "SFA1", "SFA2", "SFA3"}
+
     @pytest.mark.parametrize("pid", list(PostulateId))
     def test_sampled_cases_are_enumerated_cases(self, pid):
         # drawn case classes, relabelled, meet the brute-force space's premises
@@ -838,8 +847,13 @@ class TestThreeAtoms:
             (IN, PostulateId.D9, 3_581_223_435, "354c67b0da3e"),
             (T1, PostulateId.D10, 916_793_199_360, "d60e232727ae"),
             (T1, PostulateId.LEMMA3, 35_771_842_560, "3ef361f3666f"),
+            (T1, PostulateId.D5, 35_771_842_560, "f2399a8c1333"),
+            (T1, PostulateId.SFA3, 35_771_842_560, "f6a0ce9f4e44"),
         ],
-        ids=["type1-C5", "type2-C5", "instant-C5", "instant-D8", "instant-D9", "type1-D10", "type1-Lemma3"],
+        ids=[
+            "type1-C5", "type2-C5", "instant-C5", "instant-D8", "instant-D9",
+            "type1-D10", "type1-Lemma3", "type1-D5", "type1-SFA3",
+        ],
     )
     def test_multiformula_cells_pass(self, kind, pid, cases, sha256):
         report = check_postulate(kind, pid, Signature("abc"))

@@ -377,17 +377,18 @@ class TestExitCodeContract:
         ids=lambda argv: argv[0],
     )
     def test_unwritable_out_exits_2(self, capsys, tmp_path, argv, where):
+        # the target is checked before the command prints its layer tables
         out = tmp_path if where == "directory" else tmp_path / "missing" / "out.json"
-        code, _, err = run(capsys, *argv, "--out", str(out))
-        assert code == 2
+        code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert (code, stdout) == (2, "")
         assert err.startswith("error: cannot write --out file")
         assert "Traceback" not in err
 
 
 class TestStagedOut:
-    """``matrix`` and ``check`` write --out through a temporary file beside
-    it: an unwritable target stops the run before its first cell, and a run
-    that fails leaves the target as it was."""
+    """Every command writes --out through a temporary file beside it: an
+    unwritable target stops the run before its first cell or line of
+    output, and a run that fails leaves the target as it was."""
 
     @pytest.mark.parametrize("command", [["check", "--op", "type1"], ["matrix", "--ops", "all"]], ids=lambda c: c[0])
     def test_unwritable_out_exits_before_the_first_cell(self, capsys, monkeypatch, tmp_path, command):
@@ -422,6 +423,30 @@ class TestStagedOut:
             main(["matrix", "--ops", "type1", "--postulates", "C1,C2", "--atoms", "1", "--out", str(out)])
         assert len(calls) == 2
         assert out.read_bytes() == b"previous run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["apply", PSI1, "--formula", "a &", "--op", "type1"],
+            ["achieve", PSI1, "--formula", "a", "--op", "nope"],
+            ["sat", PSI1, "--formula", "a", "--constraints", "D1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_failed_command_keeps_the_old_file(self, capsys, tmp_path, argv):
+        out = tmp_path / "out.json"
+        out.write_bytes(b"previous run\n")
+        code, stdout, _ = run(capsys, *argv, "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert out.read_bytes() == b"previous run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+
+    def test_show_prints_and_writes_out(self, capsys, tmp_path):
+        out = tmp_path / "out.json"
+        code, stdout, _ = run(capsys, "show", PSI1, "--out", str(out))
+        assert code == 0 and "layer 0 | 11" in stdout
+        assert json.loads(out.read_text())["layers"] == [["11"], ["01"], ["10", "00"]]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
 
     CHECK_C1 = ("check", "--op", "type1", "--postulates", "C1", "--atoms", "1")

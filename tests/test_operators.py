@@ -4,6 +4,10 @@ import pytest
 
 from decrement import _kernel, operators
 from decrement.logic import (
+    BOTTOM,
+    And,
+    Not,
+    Or,
     formula_from_worldset,
     parse_formula,
     world_from_bits,
@@ -488,12 +492,38 @@ class TestCollectorQuiet:
         assert gc.collect() == 0
 
 
+def equivalent_forms(mask, sig):
+    """Four syntactically different formulas with the models ``mask``."""
+    f = formula_from_worldset(mask, sig)
+    return [f, Not(Not(f)), And(f, f), Or(f, BOTTOM)]
+
+
 class TestSemanticDeterminism:
+    """The operators read a formula only through its models, so equivalent
+    formulas give equal results: what the checker's C5, D5 and SFA3 cells
+    rest on, which hold by construction there."""
+
     def test_equivalent_inputs_same_output(self, psi1, sig2):
         for kind in OperatorKind:
             out = step(psi1, parse_formula("a", sig2), kind)
             for text in ("!!a", "a & a", "a | (a & b)", "a & true"):
                 assert step(psi1, parse_formula(text, sig2), kind) == out
+
+    @pytest.mark.parametrize("kind", list(OperatorKind), ids=lambda k: k.value)
+    def test_equivalent_forms_every_two_atom_case(self, kind, sig2):
+        forms = [equivalent_forms(mask, sig2) for mask in range(16)]
+        for tpo in enumerate_preorders(4):
+            state = EpistemicState(sig2, tpo)
+            firsts = []
+            for alpha in forms:
+                outs = {(step(state, f, kind), iterate(state, f, kind, 2), achieve(state, f, kind)) for f in alpha}
+                assert len(outs) == 1, (tpo.ranks, alpha[0])
+                firsts.append(outs.pop()[0])
+            for first, alpha1 in zip(firsts, forms):
+                for alpha2 in forms:
+                    # each form of alpha1, then a different form of alpha2
+                    seconds = {step(step(state, f1, kind), f2, kind) for f1, f2 in zip(alpha1, alpha2[1:] + alpha2[:1])}
+                    assert seconds == {step(first, alpha2[0], kind)}, (tpo.ranks, alpha1[0], alpha2[0])
 
 
 class TestExpectedContractionModels:
