@@ -23,7 +23,9 @@ class UniverseTooLargeError(ValueError):
     """Raised when an exhaustive routine is asked for more than 8 worlds."""
 
 
-def _check_universe(n: int) -> int:
+def check_universe(n: int) -> int:
+    """``n``, if the kernel takes a universe of ``n`` worlds: raises
+    UniverseTooLargeError past MAX_UNIVERSE, ValueError below 1."""
     if n > MAX_UNIVERSE:
         raise UniverseTooLargeError(f"universe of {n} worlds exceeds the limit of {MAX_UNIVERSE}")
     if n < 1:
@@ -37,7 +39,7 @@ def weak_order_ranks(n: int):
     A valid vector occupies exactly the ranks 0..k for some k; the stream
     counts match the ordered-set-partition (Fubini) numbers.
     """
-    return _ordered_ranks(_check_universe(n), None)
+    return _ordered_ranks(check_universe(n), None)
 
 
 def weak_order_count(n: int) -> int:
@@ -46,7 +48,7 @@ def weak_order_count(n: int) -> int:
     a(0) = 1 and a(m) = sum over k = 1..m of C(m, k) a(m - k): the first
     layer takes k of the m worlds.
     """
-    _check_universe(n)
+    check_universe(n)
     a = [1]
     for m in range(1, n + 1):
         a.append(sum(comb(m, k) * a[m - k] for k in range(1, m + 1)))
@@ -304,7 +306,7 @@ def dr_successors(before, amask: int, cmask: int):
     enumeration, order included.  With no constrained pair the recursion
     runs without masks.
     """
-    n = _check_universe(len(before))
+    n = check_universe(len(before))
     full = (1 << n) - 1
     amask &= full
     frontal = frontal_bits(before, amask) if cmask & 128 else 0

@@ -42,7 +42,7 @@ import enum
 import heapq
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 from itertools import groupby, islice
 from operator import itemgetter
@@ -156,8 +156,18 @@ def _domain(n_atoms: int) -> str:
     return f"exhaustive |Σ|={n_atoms}"
 
 
+class _Document:
+    """A dataclass whose document is its fields, in field order."""
+
+    def to_doc(self) -> dict:
+        return asdict(self)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_doc(), indent=2, ensure_ascii=False) + "\n"
+
+
 @dataclass
-class CheckReport:
+class CheckReport(_Document):
     """Outcome of one postulate check against one operator kind."""
 
     postulate: str
@@ -167,22 +177,9 @@ class CheckReport:
     cases: int
     counterexamples: list[dict]
 
-    def to_doc(self) -> dict:
-        return {
-            "postulate": self.postulate,
-            "operator": self.operator,
-            "domain": self.domain,
-            "outcome": self.outcome,
-            "cases": self.cases,
-            "counterexamples": self.counterexamples,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_doc(), indent=2, ensure_ascii=False) + "\n"
-
 
 @dataclass
-class ConformanceMatrix:
+class ConformanceMatrix(_Document):
     """One report per requested (operator, postulate) pair, stable order."""
 
     atoms: tuple[str, ...]
@@ -193,18 +190,6 @@ class ConformanceMatrix:
 
     def failures(self) -> list[CheckReport]:
         return [r for r in self.reports if r.outcome == "fail"]
-
-    def to_doc(self) -> dict:
-        return {
-            "atoms": list(self.atoms),
-            "mode": self.mode,
-            "operators": list(self.operators),
-            "postulates": list(self.postulates),
-            "reports": [r.to_doc() for r in self.reports],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_doc(), indent=2, ensure_ascii=False) + "\n"
 
 
 # --- evaluators --------------------------------------------------------------
@@ -537,13 +522,7 @@ def _failure(variables: tuple, ranks: tuple, values: tuple, witness: dict, n_ato
     return _case_key(ranks, formulas, worlds, n_atoms), (ranks, formulas, worlds)
 
 
-def _run_chunk(
-    kind_value: str,
-    pid_value: str,
-    n_atoms: int,
-    lo: int,
-    hi: int,
-) -> tuple[int, list[tuple]]:
+def _run_chunk(code: int, rec: Postulate, n_atoms: int, lo: int, hi: int) -> tuple[int, list[tuple]]:
     """Evaluate the case classes with index in [lo, hi) of the record's
     walked space.
 
@@ -552,8 +531,6 @@ def _run_chunk(
     failing representatives as (ranks, values); ``_orbit_failures`` picks
     the counterexamples from their orbits.
     """
-    code = OperatorKind(kind_value).code
-    rec = REGISTRY[PostulateId(pid_value)]
     evaluate = rec.reduced or rec.evaluate
     cases = 0
     failures: list[tuple] = []
@@ -601,6 +578,43 @@ def _orbit_failures(variables: tuple, failing: list, member_failures: Callable, 
     return [doc for _, doc in heapq.nsmallest(COUNTEREXAMPLE_CAP, records, key=itemgetter(0))]
 
 
+def _decide(kind: OperatorKind, name: str, rec: Postulate, sig: Signature, workers: int, pool,
+            member_failures: Callable) -> CheckReport:
+    """The report of ``rec`` on ``kind`` over ``sig``, named ``name``.
+
+    The walked case classes are split into at most one chunk per worker and
+    usable CPU.  One chunk runs in this process; more run in ``pool``, or
+    in a pool of their own when it is None.  ``_orbit_failures`` then picks
+    the counterexamples, through ``member_failures``.
+    """
+    n_atoms = sig.n_atoms
+    domain = _domain(n_atoms)
+    walked = rec.walked()
+    total = case_class_count(*walked, 1 << n_atoms)
+    chunks = [(kind.code, rec, n_atoms, lo, hi) for lo, hi in _chunk_bounds(total, workers, _usable_cpus())]
+    own = None
+    if pool is None and len(chunks) > 1:
+        pool = own = _worker_pool(len(chunks))
+    try:
+        if len(chunks) > 1 and pool is not None:
+            results = list(pool.map(_run_chunk, *zip(*chunks)))
+        else:
+            results = [_run_chunk(*c) for c in chunks]
+    finally:
+        if own is not None:
+            own.shutdown()
+    failing = [f for _, chunk_failures in results for f in chunk_failures]
+    counterexamples = _orbit_failures(walked[0], failing, member_failures, n_atoms)
+    return CheckReport(
+        postulate=name,
+        operator=kind.value,
+        domain=f"{domain}; {rec.note}",
+        outcome="fail" if counterexamples else "pass",
+        cases=sum(r[0] for r in results),
+        counterexamples=counterexamples,
+    )
+
+
 def check_postulate(
     kind: Union[OperatorKind, str],
     postulate: Union[PostulateId, str],
@@ -623,24 +637,7 @@ def check_postulate(
     kind = OperatorKind(kind)
     pid = PostulateId(postulate)
     n_atoms = sig.n_atoms
-    domain = _domain(n_atoms)
     rec = REGISTRY[pid]
-    walked = rec.walked()
-
-    total = case_class_count(*walked, 1 << n_atoms)
-    chunks = [
-        (kind.value, pid.value, n_atoms, lo, hi)
-        for lo, hi in _chunk_bounds(total, workers, _usable_cpus())
-    ]
-    if len(chunks) <= 1:
-        results = [_run_chunk(*c) for c in chunks]
-    elif _pool is None:
-        results = _map_parallel(chunks)
-    else:
-        results = list(_pool.map(_run_chunk, *zip(*chunks)))
-
-    cases = sum(r[0] for r in results)
-    failing = [f for _, chunk_failures in results for f in chunk_failures]
 
     def member_failures(ranks, values):
         records = []
@@ -651,15 +648,7 @@ def check_postulate(
                 records.append((key, _counterexample(*case, n_atoms)))
         return records
 
-    counterexamples = _orbit_failures(walked[0], failing, member_failures, n_atoms)
-    return CheckReport(
-        postulate=pid.value,
-        operator=kind.value,
-        domain=f"{domain}; {rec.note}",
-        outcome="fail" if counterexamples else "pass",
-        cases=cases,
-        counterexamples=counterexamples,
-    )
+    return _decide(kind, pid.value, rec, sig, workers, _pool, member_failures)
 
 
 def _usable_cpus() -> int:
@@ -698,14 +687,6 @@ def _worker_pool(workers: int):
     except ValueError:
         return None
     return concurrent.futures.ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
-
-
-def _map_parallel(chunks: list[tuple]) -> list[tuple[int, list]]:
-    pool = _worker_pool(len(chunks))
-    if pool is None:
-        return [_run_chunk(*c) for c in chunks]
-    with pool:
-        return list(pool.map(_run_chunk, *zip(*chunks)))
 
 
 def conformance_matrix(
@@ -804,6 +785,14 @@ def _representation_failures(ranks: tuple, code: int, n_atoms: int) -> list[tupl
     return out
 
 
+def _representation_holds(ranks, code):
+    """Conditions (i)-(iv) on one state, over ``len(ranks)`` worlds."""
+    return not _representation_failures(ranks, code, len(ranks).bit_length() - 1), {}
+
+
+_REPRESENTATION = Postulate(_representation_holds, "conditions (i)-(iv) over all states", ())
+
+
 def verify_representation(kind: Union[OperatorKind, str], sig: Signature) -> CheckReport:
     """Check that achieve results alone reconstruct a working assignment.
 
@@ -811,31 +800,16 @@ def verify_representation(kind: Union[OperatorKind, str], sig: Signature) -> Che
     preorder, (ii) it is faithful to the state's belief models, (iii) the
     achieve results match contraction semantics computed from the induced
     order, (iv) every believed step satisfies DR8..DR13 with respect to the
-    induced orders of the state and its successor.  Decided one order class
-    at a time, like ``check_postulate``, up to ``CHECKER_MAX_ATOMS`` atoms.
+    induced orders of the state and its successor.  Decided in this
+    process by the runner of ``check_postulate``, one order class at a
+    time, up to ``CHECKER_MAX_ATOMS`` atoms.
     """
     kind = OperatorKind(kind)
-    n_atoms = sig.n_atoms
-    domain = _domain(n_atoms)
-    cases = 0
-    failing: list[tuple] = []
-    for ranks, values, size in case_classes((), {}, sig.n_worlds):
-        cases += size
-        if _representation_failures(ranks, kind.code, n_atoms):
-            failing.append((ranks, values))
 
     def member_failures(ranks, values):
-        return _representation_failures(ranks, kind.code, n_atoms)
+        return _representation_failures(ranks, kind.code, sig.n_atoms)
 
-    counterexamples = _orbit_failures((), failing, member_failures, n_atoms)
-    return CheckReport(
-        postulate="representation",
-        operator=kind.value,
-        domain=f"{domain}; conditions (i)-(iv) over all states",
-        outcome="fail" if counterexamples else "pass",
-        cases=cases,
-        counterexamples=counterexamples,
-    )
+    return _decide(kind, "representation", _REPRESENTATION, sig, 1, None, member_failures)
 
 
 # --- replay --------------------------------------------------------------------

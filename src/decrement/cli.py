@@ -28,7 +28,7 @@ from decrement.checker import (
     conformance_matrix,
     successor_satisfiability,
 )
-from decrement.logic import FormulaError, Signature, parse_formula
+from decrement.logic import MAX_ATOMS, FormulaError, Signature, parse_formula
 from decrement.operators import OperatorKind, achieve, iterate
 from decrement.preorder import UniverseTooLargeError, enumerate_preorders
 from decrement.state import (
@@ -244,9 +244,9 @@ def _run_matrix(args, kinds: list[OperatorKind]) -> int:
 
 
 def _signature_for_atoms(n: int) -> Signature:
-    if not 1 <= n <= 26:
-        raise CliError("--atoms must be between 1 and 26")
-    return Signature("abcdefghijklmnopqrstuvwxyz"[:n])
+    if not 1 <= n <= MAX_ATOMS:
+        raise CliError(f"--atoms must be between 1 and {MAX_ATOMS}")
+    return Signature(chr(ord("a") + i) for i in range(n))
 
 
 def cmd_check(args) -> int:

@@ -11,7 +11,7 @@ second false.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import reduce
 from typing import Iterator
 
@@ -344,7 +344,31 @@ def parse_formula(text: str, sig: Signature) -> Formula:
     return node
 
 
-_PRECEDENCE = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5}
+# The printer reads the parser's table, so what it prints parses back.
+# A binary node prints as (its token, the lowest precedence its left and
+# its right operand may have without parentheses): a right-associative
+# node, whose right operand may share its precedence, brackets a left
+# operand that does.  Atoms and literals rank 6, above every node class.
+_PRECEDENCE = {node: prec for prec, _, node in _BINARY.values()} | {Not: 5}
+_BINARY_NODES = {
+    node: (tok, prec + (right_min == prec), right_min) for tok, (prec, right_min, node) in _BINARY.items()
+}
+_NODE_CLASSES = (Atom, Not, And, Or, Implies, Iff, Top, Bottom)
+
+
+class _NodeClasses(dict):
+    """Type -> the node class its instances print and evaluate as: the
+    type itself for a node class, else the node class it subclasses."""
+
+    def __missing__(self, kind: type) -> type:
+        base = next((c for c in _NODE_CLASSES if issubclass(kind, c)), None)
+        if base is None:
+            raise TypeError(f"not a formula node: an instance of {kind.__name__}")
+        self[kind] = base
+        return base
+
+
+_NODE_CLASS = _NodeClasses({kind: kind for kind in _NODE_CLASSES})
 
 
 def format_formula(f: Formula) -> str:
@@ -353,48 +377,31 @@ def format_formula(f: Formula) -> str:
 
 
 def _prec(node: Formula) -> int:
-    return _PRECEDENCE.get(type(node), 6)
+    return _PRECEDENCE.get(_NODE_CLASS[type(node)], 6)
 
 
 def _render(node: Formula) -> str:
-    if isinstance(node, Atom):
+    kind = _NODE_CLASS[type(node)]
+    if kind is Atom:
         return node.name
-    if isinstance(node, Top):
+    if kind is Top:
         return "true"
-    if isinstance(node, Bottom):
+    if kind is Bottom:
         return "false"
-    if isinstance(node, Not):
+    if kind is Not:
         inner = _render(node.operand)
-        if _prec(node.operand) < 5:
-            inner = f"({inner})"
-        return f"!{inner}"
-    if isinstance(node, (And, Or)):
-        op = "&" if isinstance(node, And) else "|"
-        p = _prec(node)
-        left = _render(node.left)
-        if _prec(node.left) < p:
-            left = f"({left})"
-        right = _render(node.right)
-        if _prec(node.right) <= p:
-            right = f"({right})"
-        return f"{left} {op} {right}"
-    if isinstance(node, (Implies, Iff)):
-        op = "->" if isinstance(node, Implies) else "<->"
-        p = _prec(node)
-        left = _render(node.left)
-        if _prec(node.left) <= p:
-            left = f"({left})"
-        right = _render(node.right)
-        if _prec(node.right) < p:
-            right = f"({right})"
-        return f"{left} {op} {right}"
-    raise TypeError(f"not a formula node: {node!r}")
+        return f"!({inner})" if _prec(node.operand) < 5 else f"!{inner}"
+    tok, left_min, right_min = _BINARY_NODES[kind]
+    left = _render(node.left)
+    if _prec(node.left) < left_min:
+        left = f"({left})"
+    right = _render(node.right)
+    if _prec(node.right) < right_min:
+        right = f"({right})"
+    return f"{left} {tok} {right}"
 
 
 # --- semantics --------------------------------------------------------------
-
-_NODE_CLASSES = (Atom, Not, And, Or, Implies, Iff, Top, Bottom)
-
 
 def models(f: Formula, sig: Signature) -> int:
     """World-set mask of the models of ``f`` under classical semantics."""
@@ -404,7 +411,7 @@ def models(f: Formula, sig: Signature) -> int:
 def _models(node: Formula, universe: int, atom_masks: _AtomMasks) -> int:
     # One module-level function with its state as arguments: a call
     # allocates no closure, cell or dict.
-    kind = type(node)
+    kind = _NODE_CLASS[type(node)]
     if kind is Atom:
         return atom_masks[node.name]
     if kind is And:
@@ -419,12 +426,7 @@ def _models(node: Formula, universe: int, atom_masks: _AtomMasks) -> int:
         return universe & ~(_models(node.left, universe, atom_masks) ^ _models(node.right, universe, atom_masks))
     if kind is Top:
         return universe
-    if kind is Bottom:
-        return 0
-    for base in _NODE_CLASSES:  # a subclass evaluates as its node class
-        if isinstance(node, base):
-            return _models(base(*(getattr(node, field.name) for field in fields(base))), universe, atom_masks)
-    raise TypeError(f"not a formula node: {node!r}")
+    return 0  # Bottom
 
 
 def entails(f: Formula, g: Formula, sig: Signature) -> bool:

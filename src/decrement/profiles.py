@@ -22,6 +22,8 @@ from math import factorial
 from struct import Struct
 from typing import Callable, NamedTuple
 
+from decrement._kernel import check_universe
+
 
 def _planes(variables) -> list[int]:
     """The cell bit of each variable: bit i for the i-th formula variable,
@@ -67,12 +69,11 @@ class _Space(NamedTuple):
     0, or above it, as (prod m!, packed).  A layer is a sorted tuple of
     cells, ``m`` runs over the multiplicities of its cells, and ``packed``
     holds, per variable, the layer's worlds in it as a mask over the
-    layer's own positions: one field per variable, the first variable
-    lowest, of 8, 16, 32 or 64 bits (the fewest that hold ``n`` worlds, so
-    ``decode`` reads the fields as one little-endian struct).  A layer
-    placed after ``at`` worlds adds ``packed << at``.  A marked layer holds
-    the marker on one world; marked cells sort after the unmarked ones, so
-    that world comes last.
+    layer's own positions: one byte per variable, the first variable
+    lowest, so ``decode`` reads the fields as one little-endian struct.  A
+    layer placed after ``at`` worlds adds ``packed << at``.  A marked layer
+    holds the marker on one world; marked cells sort after the unmarked
+    ones, so that world comes last.
 
     ``counts[above_rank0][left][need_marker]`` is the number of valid
     profiles that a node at rank 0, or above it, completes with ``left``
@@ -83,23 +84,20 @@ class _Space(NamedTuple):
     full: int  # n!
     tables: tuple
     counts: tuple
-    nbytes: int  # of all the fields of a case together
+    nbytes: int  # of all the fields of a case together: one per variable
     decode: Callable[[bytes], tuple]
     omega: int  # the index of ``omega`` among the variables, or -1
-
-
-_FIELD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # struct codes by field bytes
 
 
 @lru_cache(maxsize=16)
 def _space(variables: tuple, premises: tuple, n: int) -> _Space:
     """The case space of ``variables`` under the sorted ``above`` items
-    ``premises``, on ``n`` worlds; the 16 latest stay built."""
+    ``premises``, on ``n`` worlds; the 16 latest stay built.  Raises
+    UniverseTooLargeError past the kernel's cap of 8 worlds, which lets a
+    byte hold a variable's worlds in a layer."""
+    check_universe(n)
     planes = _planes(variables)
     marker = planes[variables.index("omega")] if "omega" in variables else 0
-    field = next((b for b in _FIELD_CODES if n <= 8 * b), None)
-    if field is None:
-        raise ValueError(f"case classes of {n} worlds: at most 64 worlds are supported")
     fact = [factorial(k) for k in range(n + 1)]
     tables = []
     for at_rank0 in (True, False):
@@ -114,7 +112,7 @@ def _space(variables: tuple, premises: tuple, n: int) -> _Space:
                         denom *= fact[len(list(run))]
                     for layer in [plain + (c | marker,) for c in cells] if marked else [plain]:
                         packed = sum(
-                            1 << (8 * field * i + j)
+                            1 << (8 * i + j)
                             for i, plane in enumerate(planes)
                             for j, c in enumerate(layer)
                             if c & plane
@@ -138,8 +136,8 @@ def _space(variables: tuple, premises: tuple, n: int) -> _Space:
         full=fact[n],
         tables=tuple(tables),
         counts=tuple(map(tuple, counts)),
-        nbytes=field * len(variables),
-        decode=Struct(f"<{len(variables)}{_FIELD_CODES[field]}").unpack,
+        nbytes=len(variables),
+        decode=Struct(f"<{len(variables)}B").unpack,
         omega=variables.index("omega") if marker else -1,
     )
 

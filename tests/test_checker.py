@@ -281,11 +281,15 @@ class TestMatrix:
 
         seen = []
 
-        def serial(chunks):
-            seen.append(len(chunks))
-            return [checker._run_chunk(*c) for c in chunks]
+        class SerialPool:
+            def map(self, fn, *iterables):
+                seen.append(len(iterables[0]))
+                return map(fn, *iterables)
 
-        monkeypatch.setattr(checker, "_map_parallel", serial)
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(checker, "_worker_pool", lambda workers: SerialPool())
         monkeypatch.setattr(checker, "_usable_cpus", lambda: 3)
         one = check_postulate(IN, PostulateId.DR12, SIG2, workers=1)
         many = check_postulate(IN, PostulateId.DR12, SIG2, workers=10**9)
@@ -669,6 +673,23 @@ class TestKeyFirstExpansion:
         report = check_postulate(IN, PostulateId.DR12, SIG2)
         assert len(report.counterexamples) == COUNTEREXAMPLE_CAP
         assert len(calls) <= case_class_count(rec.variables, rec.above, 4) + COUNTEREXAMPLE_CAP
+
+    def test_representation_runs_once_per_class_and_reported_member(self, monkeypatch):
+        import decrement.checker as checker
+        from decrement.checker import COUNTEREXAMPLE_CAP, verify_representation
+        from decrement.profiles import case_class_count
+
+        calls = []
+        failures = checker._representation_failures
+
+        def counted(ranks, code, n_atoms):
+            calls.append(ranks)
+            return failures(ranks, code, n_atoms)
+
+        monkeypatch.setattr(checker, "_representation_failures", counted)
+        report = verify_representation(IN, SIG2)
+        assert (report.outcome, len(report.counterexamples)) == ("fail", COUNTEREXAMPLE_CAP)
+        assert len(calls) == case_class_count((), {}, 4) + COUNTEREXAMPLE_CAP
 
     def test_passing_member_of_failing_orbit_raises(self, monkeypatch):
         # fails on the representatives, whose ranks never decrease, but

@@ -44,6 +44,7 @@ from decrement.logic import (
     Top,
     UnknownAtomError,
     _atom_models,
+    format_formula,
     models,
     parse_formula,
 )
@@ -530,6 +531,15 @@ class TestModelsOracle:
     def test_subclasses_evaluate_as_their_node_class(self):
         f = Or(_Both(Atom("a"), Not(_Named("b"))), Not(_Always()))
         assert models(f, SIG3) == reference_models(f, SIG3) == closure_models(f, SIG3) == 0b00100010
+        # they print as their node class, too, and parse back to their models
+        for g, text in [
+            (f, "a & !b | !true"),
+            (Not(_Both(Atom("a"), _Named("b"))), "!(a & b)"),
+            (Or(Atom("c"), Not(_Both(_Named("a"), _Always()))), "c | !(a & true)"),
+            (_Both(Atom("a"), _Both(Atom("b"), Atom("c"))), "a & (b & c)"),
+        ]:
+            assert format_formula(g) == text
+            assert models(parse_formula(text, SIG3), SIG3) == reference_models(g, SIG3)
 
     def test_errors(self):
         for evaluate in (models, closure_models):
