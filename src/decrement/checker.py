@@ -5,13 +5,14 @@ space: states range over all total preorders of the universe, formulas
 over all semantic classes (world sets), worlds over the universe.  A
 verdict depends only on the case's class under relabelling of worlds
 (``decrement.profiles``), so the checker evaluates one representative per
-class and counts the whole class.  Every postulate is decided this way, up
-to ``CHECKER_MAX_ATOMS`` atoms.  D10 and D11 are decided over (alpha,
-beta) classes: their gamma enters through two subset tests, so one test
-per class decides every gamma at once.  C5, D5 and SFA1..SFA3 hold by
+class.  Every postulate is decided this way, up to ``CHECKER_MAX_ATOMS``
+atoms, and a report's ``cases`` counts the whole space by a closed formula
+(``profiles.case_count``).  D10 and D11 are decided over (alpha, beta)
+classes: their gamma enters through two subset tests, so one test per
+class decides every gamma at once.  C5, D5 and SFA1..SFA3 hold by
 construction (``_by_construction``): states are compressed rank vectors
-and formulas model masks, so no case can fail them, though their cells
-still walk and count their case classes.
+and formulas model masks, so no case can fail them, and their cells walk
+nothing.
 
 A postulate is defined by its ``Postulate`` record in ``REGISTRY``: the
 evaluator, the variables it quantifies with the mask each must contain,
@@ -71,7 +72,7 @@ from decrement.operators import (
     NotPreorderError,
 )
 from decrement.preorder import TotalPreorder
-from decrement.profiles import case_class_count, case_classes, orbit
+from decrement.profiles import case_class_count, case_classes, case_count, orbit
 from decrement.state import (
     EpistemicState,
     StateFormatError,
@@ -163,7 +164,7 @@ class _Document:
         return asdict(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_doc(), indent=2, ensure_ascii=False) + "\n"
+        return json.dumps(self, default=vars, indent=2, ensure_ascii=False) + "\n"
 
 
 @dataclass
@@ -309,8 +310,8 @@ def _by_construction(ranks, code, *values):
     (SFA1, SFA2).  A formula is its model mask, and the operators read a
     formula only through that set, so equivalent formulas give the same
     beliefs after achieve (C5), and the same order and beliefs after one
-    step or two (SFA3, D5).  The cells still walk their case classes, so
-    ``cases`` counts the space as for every other postulate.
+    step or two (SFA3, D5).  Their cells walk no case class: ``cases``
+    comes from ``case_count`` alone.
     """
     return True, {}
 
@@ -375,9 +376,8 @@ class Postulate:
     ``reduced``, when given, is an evaluator of every variable but the
     last, a formula variable that sorts after the others by name and must
     contain ``alpha`` or ``~alpha``: it fails iff ``evaluate`` fails for
-    some value of the last one.  The checker then walks the smaller space,
-    weighs each class by the number of those values, and lists them only
-    for the members it reports.
+    some value of the last one.  The checker then walks the smaller space
+    and lists those values only for the members it reports.
     """
 
     evaluate: Callable[..., tuple[bool, dict[str, int]]]
@@ -393,19 +393,16 @@ class Postulate:
         last = self.variables[-1]
         return self.variables[:-1], {v: p for v, p in self.above.items() if v != last}
 
-    def last_values(self, alpha: int, n_worlds: int) -> list[int]:
-        """The values of the last variable, given alpha: every mask that
-        contains ``alpha`` or ``~alpha``, as ``above`` says."""
-        full = (1 << n_worlds) - 1
-        floor = alpha if self.above[self.variables[-1]] == "alpha" else full & ~alpha
-        return [g for g in range(full + 1) if not floor & ~g]
-
     def completions(self, ranks: tuple, values: tuple) -> list[tuple]:
-        """The full values that walked ``values`` stand for."""
+        """The full values that walked ``values`` stand for: with
+        ``reduced``, one per mask of the last variable that contains
+        ``alpha`` or ``~alpha``, as ``above`` says."""
         if self.reduced is None:
             return [values]
+        full = (1 << len(ranks)) - 1
         alpha = values[self.variables.index("alpha")]
-        return [values + (g,) for g in self.last_values(alpha, len(ranks))]
+        floor = alpha if self.above[self.variables[-1]] == "alpha" else full & ~alpha
+        return [values + (g,) for g in range(full + 1) if not floor & ~g]
 
 
 _ALPHA = "states x alpha classes"
@@ -522,29 +519,14 @@ def _failure(variables: tuple, ranks: tuple, values: tuple, witness: dict, n_ato
     return _case_key(ranks, formulas, worlds, n_atoms), (ranks, formulas, worlds)
 
 
-def _run_chunk(code: int, rec: Postulate, n_atoms: int, lo: int, hi: int) -> tuple[int, list[tuple]]:
-    """Evaluate the case classes with index in [lo, hi) of the record's
-    walked space.
-
-    Returns (cases, failures): each class counts its orbit size, times the
-    values of the last variable with ``reduced``, and the failures are the
-    failing representatives as (ranks, values); ``_orbit_failures`` picks
-    the counterexamples from their orbits.
+def _run_chunk(code: int, rec: Postulate, n_atoms: int, lo: int, hi: int) -> list[tuple]:
+    """The failing representatives, as (ranks, values), among the case
+    classes with index in [lo, hi) of the record's walked space;
+    ``_orbit_failures`` picks the counterexamples from their orbits.
     """
     evaluate = rec.reduced or rec.evaluate
-    cases = 0
-    failures: list[tuple] = []
     classes = islice(case_classes(*rec.walked(), 1 << n_atoms, start=lo), hi - lo)
-    if rec.reduced:  # a class also counts every value of the last variable
-        n_worlds = 1 << n_atoms
-        i = rec.variables.index("alpha")
-        weight = [len(rec.last_values(a, n_worlds)) for a in range(1 << n_worlds)]
-        classes = ((r, v, s * weight[v[i]]) for r, v, s in classes)
-    for ranks, values, size in classes:
-        cases += size
-        if not evaluate(ranks, code, *values)[0]:
-            failures.append((ranks, values))
-    return cases, failures
+    return [(ranks, values) for ranks, values in classes if not evaluate(ranks, code, *values)[0]]
 
 
 def _orbit_failures(variables: tuple, failing: list, member_failures: Callable, n_atoms: int) -> list[dict]:
@@ -583,14 +565,15 @@ def _decide(kind: OperatorKind, name: str, rec: Postulate, sig: Signature, worke
     """The report of ``rec`` on ``kind`` over ``sig``, named ``name``.
 
     The walked case classes are split into at most one chunk per worker and
-    usable CPU.  One chunk runs in this process; more run in ``pool``, or
-    in a pool of their own when it is None.  ``_orbit_failures`` then picks
-    the counterexamples, through ``member_failures``.
+    usable CPU, and into none when the record holds by construction.  One
+    chunk runs in this process; more run in ``pool``, or in a pool of their
+    own when it is None.  ``_orbit_failures`` then picks the
+    counterexamples, through ``member_failures``.
     """
     n_atoms = sig.n_atoms
     domain = _domain(n_atoms)
     walked = rec.walked()
-    total = case_class_count(*walked, 1 << n_atoms)
+    total = 0 if rec.evaluate is _by_construction else case_class_count(*walked, 1 << n_atoms)
     chunks = [(kind.code, rec, n_atoms, lo, hi) for lo, hi in _chunk_bounds(total, workers, _usable_cpus())]
     own = None
     if pool is None and len(chunks) > 1:
@@ -603,14 +586,14 @@ def _decide(kind: OperatorKind, name: str, rec: Postulate, sig: Signature, worke
     finally:
         if own is not None:
             own.shutdown()
-    failing = [f for _, chunk_failures in results for f in chunk_failures]
+    failing = [f for chunk_failures in results for f in chunk_failures]
     counterexamples = _orbit_failures(walked[0], failing, member_failures, n_atoms)
     return CheckReport(
         postulate=name,
         operator=kind.value,
         domain=f"{domain}; {rec.note}",
         outcome="fail" if counterexamples else "pass",
-        cases=sum(r[0] for r in results),
+        cases=case_count(rec.variables, rec.above, 1 << n_atoms),
         counterexamples=counterexamples,
     )
 
@@ -697,12 +680,13 @@ def conformance_matrix(
 ) -> ConformanceMatrix:
     """One CheckReport per (kind, postulate), in the requested order.
 
+    ``postulates`` is a sequence of ids, one id, or "all" in any case.
     With more than one worker, the cells share one process pool, so its
     workers start once and keep their operator caches from cell to cell.
     """
     kind_list = [OperatorKind(k) for k in kinds]
-    if isinstance(postulates, str) and postulates == "all":
-        pid_list = list(ALL_POSTULATES)
+    if isinstance(postulates, str):
+        pid_list = list(ALL_POSTULATES) if postulates.lower() == "all" else [PostulateId(postulates)]
     else:
         pid_list = [PostulateId(p) for p in postulates]
     pool = _worker_pool(workers)

@@ -12,13 +12,15 @@ A profile is valid when its ranks are exactly ``0..top``, exactly one
 world carries the marker (when ``omega`` is a variable), and every type
 meets the premises of ``above``: ``bel`` puts the rank-0 worlds inside the
 variable, ``alpha`` and ``~alpha`` put alpha, or its complement, inside it.
+Each premise constrains one world at a time, so the number of cases has a
+closed form (``case_count``) and the stream carries no orbit sizes.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement, groupby
-from math import factorial
+from itertools import combinations_with_replacement
+from math import comb
 from struct import Struct
 from typing import Callable, NamedTuple
 
@@ -66,8 +68,7 @@ class _Space(NamedTuple):
     """The layer tables of one case space and the subtree sizes behind them.
 
     ``tables[above_rank0][k][marked]`` lists every layer of k worlds at rank
-    0, or above it, as (prod m!, packed).  A layer is a sorted tuple of
-    cells, ``m`` runs over the multiplicities of its cells, and ``packed``
+    0, or above it, packed.  A layer is a sorted tuple of cells; ``packed``
     holds, per variable, the layer's worlds in it as a mask over the
     layer's own positions: one byte per variable, the first variable
     lowest, so ``decode`` reads the fields as one little-endian struct.  A
@@ -81,7 +82,6 @@ class _Space(NamedTuple):
     """
 
     n: int
-    full: int  # n!
     tables: tuple
     counts: tuple
     nbytes: int  # of all the fields of a case together: one per variable
@@ -98,7 +98,6 @@ def _space(variables: tuple, premises: tuple, n: int) -> _Space:
     check_universe(n)
     planes = _planes(variables)
     marker = planes[variables.index("omega")] if "omega" in variables else 0
-    fact = [factorial(k) for k in range(n + 1)]
     tables = []
     for at_rank0 in (True, False):
         cells = _cells(variables, dict(premises), at_rank0)
@@ -107,17 +106,13 @@ def _space(variables: tuple, premises: tuple, n: int) -> _Space:
             by_marker = ([], [])
             for marked in (False, True) if marker else (False,):
                 for plain in combinations_with_replacement(cells, k - marked):
-                    denom = 1
-                    for _, run in groupby(plain):
-                        denom *= fact[len(list(run))]
                     for layer in [plain + (c | marker,) for c in cells] if marked else [plain]:
-                        packed = sum(
+                        by_marker[marked].append(sum(
                             1 << (8 * i + j)
                             for i, plane in enumerate(planes)
                             for j, c in enumerate(layer)
                             if c & plane
-                        )
-                        by_marker[marked].append((denom, packed))
+                        ))
             table.append(tuple(map(tuple, by_marker)))
         tables.append(tuple(table))
     counts = ([], [])
@@ -133,7 +128,6 @@ def _space(variables: tuple, premises: tuple, n: int) -> _Space:
             ))
     return _Space(
         n=n,
-        full=fact[n],
         tables=tuple(tables),
         counts=tuple(map(tuple, counts)),
         nbytes=len(variables),
@@ -147,13 +141,12 @@ def _space_of(variables, above, n_worlds: int) -> _Space:
 
 
 def case_classes(variables, above, n_worlds: int, start: int = 0):
-    """Every valid profile once, in a fixed order, as (ranks, values, size),
-    from the ``start``-th on.
+    """Every valid profile once, in a fixed order, as (ranks, values), from
+    the ``start``-th on.
 
     Worlds ``0..n_worlds-1`` of the representative take the profile's types
-    in sorted (rank, cell) order, so its ranks do not decrease.  ``values``
-    follow ``variables`` and ``size`` is the orbit size, ``n! / prod m!``
-    over the multiplicities ``m`` of the types.  The recursion places one
+    in sorted (rank, cell) order, so its ranks do not decrease, and
+    ``values`` follow ``variables``.  The recursion places one
     nonempty layer per rank until every world has one; the marker goes on
     exactly one world.  Whole subtrees before ``start`` are skipped by
     their size, so a late start costs about what an early one does.
@@ -161,7 +154,7 @@ def case_classes(variables, above, n_worlds: int, start: int = 0):
     if start < 0:
         raise ValueError(f"start must be nonnegative, got {start}")
     space = _space_of(variables, above, n_worlds)
-    return _walk(space, 0, (), 0, space.omega >= 0, 1, start)
+    return _walk(space, 0, (), 0, space.omega >= 0, start)
 
 
 def case_class_count(variables, above, n_worlds: int) -> int:
@@ -170,7 +163,26 @@ def case_class_count(variables, above, n_worlds: int) -> int:
     return space.counts[False][n_worlds][space.omega >= 0]
 
 
-def _walk(space: _Space, rank: int, ranks: tuple, packed: int, need_marker: bool, denom: int, start: int):
+def case_count(variables, above, n_worlds: int) -> int:
+    """The number of cases the case_classes stream stands for.
+
+    A world may take any of the ``c0`` cells allowed at rank 0, or of the
+    ``c1`` allowed above it, whatever the other worlds take.  With ``k``
+    worlds at rank 0, the others form an ordered partition into the layers
+    above, one of Fubini(n - k) ways; ``omega`` is any of the n worlds.
+    """
+    c0, c1 = (len(_cells(variables, above, at_rank0)) for at_rank0 in (True, False))
+    fubini = [1]
+    for m in range(1, n_worlds + 1):
+        fubini.append(sum(comb(m, j) * fubini[m - j] for j in range(1, m + 1)))
+    total = sum(
+        comb(n_worlds, k) * c0**k * c1 ** (n_worlds - k) * fubini[n_worlds - k]
+        for k in range(1, n_worlds + 1)
+    )
+    return total * n_worlds if "omega" in variables else total
+
+
+def _walk(space: _Space, rank: int, ranks: tuple, packed: int, need_marker: bool, start: int):
     """The profiles below one node of the recursion, from the ``start``-th
     on: ``ranks`` and ``packed`` hold the layers placed so far, and the
     next one goes at ``rank``."""
@@ -189,19 +201,18 @@ def _walk(space: _Space, rank: int, ranks: tuple, packed: int, need_marker: bool
             first, start = divmod(start, sub)
             here = ranks + (rank,) * k
             if k < left:
-                for d, bits in entries[first:]:
-                    yield from _walk(space, rank + 1, here, packed | bits << at, need, denom * d, start)
+                for bits in entries[first:]:
+                    yield from _walk(space, rank + 1, here, packed | bits << at, need, start)
                     start = 0
                 continue
-            full = space.full // denom
             nbytes, decode, omega = space.nbytes, space.decode, space.omega
-            for d, bits in entries[first:]:
+            for bits in entries[first:]:
                 values = decode((packed | bits << at).to_bytes(nbytes, "little"))
                 if omega >= 0:  # the marked world's mask becomes its index
                     values = list(values)
                     values[omega] = values[omega].bit_length() - 1
                     values = tuple(values)
-                yield here, values, full // d
+                yield here, values
 
 
 def orbit(variables, ranks, values):

@@ -255,6 +255,16 @@ class TestMatrix:
         assert len(matrix.reports) == len(ALL_POSTULATES)
         assert matrix.mode == "exhaustive |Σ|=2"
 
+    @pytest.mark.parametrize("postulates, want", [
+        ("D1", ("D1",)),
+        ("DR8", ("DR8",)),
+        ("dr12", ("DR12",)),
+        ("ALL", tuple(p.value for p in ALL_POSTULATES)),
+    ])
+    def test_postulate_string_is_one_id_or_all(self, postulates, want):
+        # a string is never split into characters; "all" is matched in any case
+        assert conformance_matrix([T1], postulates, Signature("a")).postulates == want
+
     def test_deterministic_bytes(self):
         pids = [PostulateId.D1, PostulateId.D6, PostulateId.DR12, PostulateId.LEMMA1]
         m1 = conformance_matrix(list(OperatorKind), pids, SIG2)
@@ -540,6 +550,24 @@ class TestRegistry:
         held = {pid.value for pid, rec in checker.REGISTRY.items() if rec.evaluate is checker._by_construction}
         assert held == {"C5", "D5", "SFA1", "SFA2", "SFA3"}
 
+    @pytest.mark.parametrize("pid, cases", [
+        (PostulateId.C5, 139_733_760),
+        (PostulateId.D5, 35_771_842_560),
+        (PostulateId.SFA1, 545_835),
+        (PostulateId.SFA2, 545_835),
+        (PostulateId.SFA3, 35_771_842_560),
+    ], ids=lambda x: getattr(x, "value", None))
+    def test_cells_that_hold_by_construction_walk_nothing(self, monkeypatch, pid, cases):
+        import decrement.checker as checker
+
+        def walked(*args, **kwargs):
+            raise AssertionError("a cell that holds by construction walked its case classes")
+
+        monkeypatch.setattr(checker, "case_classes", walked)
+        monkeypatch.setattr(checker, "case_class_count", walked)
+        report = check_postulate(T1, pid, Signature("abc"), workers=2)
+        assert (report.outcome, report.cases, report.counterexamples) == ("pass", cases, [])
+
     @pytest.mark.parametrize("pid", list(PostulateId))
     def test_sampled_cases_are_enumerated_cases(self, pid):
         # drawn case classes, relabelled, meet the brute-force space's premises
@@ -788,8 +816,7 @@ def draw_class(pid, n_worlds, rng):
 
     rec = REGISTRY[pid]
     start = rng.randrange(case_class_count(rec.variables, rec.above, n_worlds))
-    ranks, values, _ = next(case_classes(rec.variables, rec.above, n_worlds, start=start))
-    return ranks, values
+    return next(case_classes(rec.variables, rec.above, n_worlds, start=start))
 
 
 def relabel(perm, ranks, variables, values):

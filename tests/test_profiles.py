@@ -1,9 +1,10 @@
 """Case classes: the profile stream, its count and the orbits it stands for.
 
-The exhaustive checker evaluates one representative per profile and adds
-the orbit size to its case count, so the stream must hold each orbit of
-the case space exactly once, and ``orbit`` must list every member of one.
-The end-to-end comparison with brute force is in ``test_checker.py``.
+The exhaustive checker evaluates one representative per profile and takes
+its case count from ``case_count``, so the stream must hold each orbit of
+the case space exactly once, ``orbit`` must list every member of one, and
+the orbits together must make up ``case_count`` cases.  The end-to-end
+comparison with brute force is in ``test_checker.py``.
 """
 
 import gc
@@ -11,9 +12,9 @@ from math import factorial
 
 import pytest
 
-from decrement.checker import REGISTRY, PostulateId
+from decrement.checker import _REPRESENTATION, REGISTRY, PostulateId
 from decrement.preorder import UniverseTooLargeError
-from decrement.profiles import _space, case_class_count, case_classes, orbit
+from decrement.profiles import _space, case_class_count, case_classes, case_count, orbit
 
 # The first record of each distinct (variables, premises) shape.
 SHAPES = list({
@@ -84,22 +85,26 @@ def test_orbits_partition_the_two_atom_space(pid):
     rec = REGISTRY[pid]
     seen = set()
     total = 0
-    for ranks, values, size in classes(pid, 4):
+    for ranks, values in classes(pid, 4):
         assert list(ranks) == sorted(ranks)
         members = list(orbit(rec.variables, ranks, values))
         assert members[0] == (ranks, values)
-        assert len(members) == size == len(set(members))
+        assert len(members) == len(set(members))
         profile = types(rec.variables, ranks, values)
         assert all(types(rec.variables, *m) == profile for m in members[-3:])
         assert not seen & set(members)
         seen.update(members)
-        total += size
-    assert total == len(seen) == TWO_ATOM_CASES[pid]
+        total += len(members)
+    assert total == len(seen) == TWO_ATOM_CASES[pid] == case_count(rec.variables, rec.above, 4)
 
 
 def test_orbit_size_is_a_multinomial():
     # 8 worlds, one layer, alpha holding 3 of them: 8! / (3! 5!)
-    sizes = {values: size for ranks, values, size in classes(PostulateId.D1, 8) if max(ranks) == 0}
+    sizes = {
+        values: len(list(orbit(("alpha",), ranks, values)))
+        for ranks, values in classes(PostulateId.D1, 8)
+        if max(ranks) == 0
+    }
     assert sizes[(0b11100000,)] == factorial(8) // (factorial(3) * factorial(5))
     assert len(sizes) == 9  # alpha holds 0..8 of the worlds
 
@@ -111,8 +116,32 @@ def test_three_atom_class_counts():
 
 def test_three_atom_orbit_counts():
     assert case_class_count(("alpha",), {}, 8) == 11_144
-    total = sum(size for *_, size in classes(PostulateId.DR8, 8))
-    assert total == 57_879_617
+    rec = REGISTRY[PostulateId.DR8]
+    assert case_count(rec.variables, rec.above, 8) == 57_879_617
+
+
+# Three-atom cases of every postulate, as the README's three-atom table
+# lists them.  D10 and D11 count every gamma of their walked (alpha, beta)
+# classes.
+THREE_ATOM_CASES = {
+    **dict.fromkeys(
+        ["C1", "C2", "C3", "C4", "C5", "D1", "D2", "D3", "D4", "D13", "Hesitance",
+         "DecrementSuccess", "PartialSuccess", "IC1", "IC2", "IC3", "IC4"],
+        139_733_760,
+    ),
+    **dict.fromkeys(["C6", "C7", "D5", "D6", "D7", "D12", "SFA3", "Lemma3"], 35_771_842_560),
+    **dict.fromkeys(["D8", "D9"], 3_581_223_435),
+    **dict.fromkeys(["D10", "D11"], 916_793_199_360),
+    **dict.fromkeys([f"DR{k}" for k in range(8, 16)], 57_879_617),
+    **dict.fromkeys(["SFA1", "SFA2"], 545_835),
+    "Lemma1": 4_366_680,
+}
+
+
+def test_three_atom_case_counts():
+    counts = {pid.value: case_count(rec.variables, rec.above, 8) for pid, rec in REGISTRY.items()}
+    assert counts == THREE_ATOM_CASES
+    assert case_count(_REPRESENTATION.variables, _REPRESENTATION.above, 8) == 545_835
 
 
 def test_out_of_range_arguments_raise():

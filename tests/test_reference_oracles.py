@@ -79,7 +79,7 @@ from decrement.operators import (
     step_row,
 )
 from decrement.preorder import TotalPreorder, enumerate_preorders
-from decrement.profiles import _cells, _planes, case_class_count, case_classes
+from decrement.profiles import _cells, _planes, case_class_count, case_classes, case_count
 from decrement.state import EpistemicState, state_to_doc
 
 # --- reference implementations ------------------------------------------------
@@ -762,14 +762,31 @@ SPACE_IDS = [",".join(v) + "|" + ",".join(f"{a}>{b}" for a, b in p) for (v, p), 
 MATRIX2_SHA256 = "b30f13ca515d3b21c5373f045b0e913f3c0e36851dd59bca963ee491a018dd43"
 
 
+def classes_without_sizes(stream):
+    return [(ranks, values) for ranks, values, _ in stream]
+
+
 class TestCaseClassOracle:
-    """The memoised, packed, seekable stream against the per-call one."""
+    """The memoised, packed, seekable stream against the per-call one, and
+    the closed case count against the oracle's orbit sizes."""
+
+    @pytest.mark.parametrize("space, n_worlds", [
+        pytest.param(space, n, id=f"{space_id}-{n}")
+        for space, space_id in zip(SPACES, SPACE_IDS)
+        for n in (1, 2, 4, 8)
+        # eight-world reference streams are listed only where they are short
+        if n < 8 or reference_case_class_count(space[0][0], space[1], 8) <= 200_000
+    ])
+    def test_case_count_is_the_sum_of_orbit_sizes(self, space, n_worlds):
+        (variables, _), above = space
+        sizes = sum(size for *_, size in reference_case_classes(variables, above, n_worlds))
+        assert case_count(variables, above, n_worlds) == sizes
 
     @pytest.mark.parametrize("n_worlds", [2, 4])
     @pytest.mark.parametrize("space", SPACES, ids=SPACE_IDS)
     def test_stream_count_and_every_start(self, space, n_worlds):
         (variables, _), above = space
-        ref = list(reference_case_classes(variables, above, n_worlds))
+        ref = classes_without_sizes(reference_case_classes(variables, above, n_worlds))
         assert list(case_classes(variables, above, n_worlds)) == ref
         assert case_class_count(variables, above, n_worlds) == reference_case_class_count(
             variables, above, n_worlds
@@ -782,7 +799,7 @@ class TestCaseClassOracle:
     @pytest.mark.parametrize("space", SPACES, ids=SPACE_IDS)
     def test_three_atom_prefix_and_count(self, space):
         (variables, _), above = space
-        ref = list(islice(reference_case_classes(variables, above, 8), 20_000))
+        ref = classes_without_sizes(islice(reference_case_classes(variables, above, 8), 20_000))
         assert list(islice(case_classes(variables, above, 8), 20_000)) == ref
         assert case_class_count(variables, above, 8) == reference_case_class_count(variables, above, 8)
 
@@ -797,7 +814,7 @@ class TestCaseClassOracle:
         rng = random.Random(12)
         starts = sorted({0, total - 1, total, *(rng.randrange(total) for _ in range(200))})
         if total <= 200_000:
-            ref = list(reference_case_classes(variables, above, 8))
+            ref = classes_without_sizes(reference_case_classes(variables, above, 8))
             for lo in starts:
                 assert list(islice(case_classes(variables, above, 8, start=lo), 50)) == ref[lo:lo + 50]
             return
@@ -809,8 +826,9 @@ class TestCaseClassOracle:
         assert list(case_classes(variables, above, 8, start=total)) == []
 
     def test_matrix_from_chunk_starts(self, monkeypatch):
-        """Three chunks a cell, run in this process: every cell's later
-        chunks start by seeking, and the matrix keeps its pinned bytes."""
+        """Three chunks a cell, run in this process: every evaluated cell's
+        later chunks start by seeking, the cells that hold by construction
+        start none, and the matrix keeps its pinned bytes."""
         import decrement.checker as checker
 
         class SerialPool:
@@ -820,11 +838,11 @@ class TestCaseClassOracle:
             def shutdown(self):
                 pass
 
-        starts = []
+        chunks = []
         run_chunk = checker._run_chunk
 
         def recorded(*chunk):
-            starts.append(chunk[-2])
+            chunks.append(chunk)
             return run_chunk(*chunk)
 
         monkeypatch.setattr(checker, "_worker_pool", lambda workers: SerialPool())
@@ -832,7 +850,9 @@ class TestCaseClassOracle:
         monkeypatch.setattr(checker, "_run_chunk", recorded)
         matrix = conformance_matrix(list(OperatorKind), "all", Signature(("a", "b")), workers=3)
         assert hashlib.sha256(matrix.to_json().encode("utf-8")).hexdigest() == MATRIX2_SHA256
-        assert sum(lo > 0 for lo in starts) >= 2 * 120
+        assert not [c for c in chunks if c[1].evaluate is checker._by_construction]
+        assert len({(code, id(rec)) for code, rec, *_ in chunks}) == 105  # 120 cells, 15 by construction
+        assert sum(lo > 0 for *_, lo, _ in chunks) >= 2 * 105
 
     def test_cli_matrix_with_two_workers(self, tmp_path):
         out = tmp_path / "matrix2.json"
